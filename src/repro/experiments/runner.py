@@ -1,7 +1,7 @@
 """Execute experiment specs: ``run(spec)`` and ``run_many(specs, backend=...)``.
 
 The runner is the single execution path behind the CLI (``scenario``,
-``sweep``, ``run``), the parallel sweep engine and the benchmark harness:
+``sweep``, ``run``) and the benchmark harness:
 every component of a run — scenario, platform, manager, simulator config —
 is built from the spec's registry references inside the executing process, so
 a spec crosses process (and machine) boundaries as pure data and replays
@@ -13,7 +13,7 @@ another, ``process`` fans them out over ``workers`` processes, ``batched``
 advances all replicas in lock-step through shared decision machinery on one
 core.  All backends produce bit-identical traces.
 
-Design rules inherited from the parallel sweep engine:
+Design rules that keep every backend equivalent to a serial run:
 
 * every spec is seeded explicitly; workers share no random state;
 * results are reassembled in submission order, so aggregates are identical
@@ -98,8 +98,7 @@ class ExperimentBatch:
     def __len__(self) -> int:
         return len(self.results)
 
-    # Aggregates mirroring repro.analysis.sweep.SweepResult, so readers of
-    # the legacy sweep statistics switch runners without changing.
+    # Per-case aggregates, keyed by label in submission order.
 
     def violation_rates(self) -> Dict[str, float]:
         """Violation rate per case."""
@@ -145,9 +144,9 @@ def build_scenario_from_spec(spec: ExperimentSpec) -> Scenario:
 def build_manager_from_spec(spec: ExperimentSpec) -> ManagerProtocol:
     """Instantiate the spec's manager, applying policy and RTM overrides.
 
-    A spec without overrides goes through the plain registry factory — the
-    exact objects the legacy ``SweepCase`` path built, so unadorned specs are
-    bit-identical to it.
+    A spec without overrides goes through the plain registry factory, so an
+    unadorned spec runs exactly the objects ``make_manager(spec.manager)``
+    builds.
     """
     if not (spec.policy or spec.policy_overrides or spec.rtm):
         return make_manager(spec.manager, use_op_cache=spec.use_op_cache)

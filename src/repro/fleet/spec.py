@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -186,6 +187,8 @@ class FleetSpec:
             value = getattr(self, key)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise FleetSpecError(f"fleet spec field {key!r} must be a number")
+            if not math.isfinite(value):
+                raise FleetSpecError(f"fleet spec field {key!r} must be finite")
         if self.epoch_ms <= 0:
             raise FleetSpecError("fleet spec field 'epoch_ms' must be positive")
         if self.migration_latency_ms < 0:

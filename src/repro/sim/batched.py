@@ -38,11 +38,10 @@ execution backend.
 from __future__ import annotations
 
 import gc
-import heapq
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from math import exp
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.perfmodel.calibrated import CalibratedLatencyModel
 from repro.perfmodel.energy import EnergyModel, InferenceCost
@@ -51,7 +50,6 @@ from repro.rtm.cache import OperatingPointCache
 from repro.rtm.manager import RuntimeManager
 from repro.rtm.state import Action, SetCoresOnline
 from repro.sim.engine import ManagerProtocol, Simulator, SimulatorConfig
-from repro.sim.events import EVENT_PRIORITY_DEFAULT
 from repro.sim.faults import FaultPlan
 from repro.sim.trace import SimulationTrace
 from repro.workloads.scenarios import Scenario
@@ -132,85 +130,6 @@ class SharedOperatingPointCache(OperatingPointCache):
         self.stats.invalidations[reason] = self.stats.invalidations.get(reason, 0) + 1
 
 
-# ---------------------------------------------------------------- event queue
-
-
-_MISSING = object()
-
-
-class _FastEventQueue:
-    """Tuple-heap drop-in for :class:`~repro.sim.events.EventQueue`.
-
-    Identical ordering semantics — a heap keyed on (time, priority,
-    sequence) with lazy cancellation and past-times clamped to now — but the
-    heap holds plain tuples instead of ordered dataclass instances, which
-    roughly halves per-event scheduling cost across the millions of events a
-    batch executes.
-    """
-
-    __slots__ = ("_heap", "_pending", "_next_sequence", "now_ms")
-
-    def __init__(self) -> None:
-        self._heap: List[Tuple[float, int, int, Callable[[], None]]] = []
-        # Sequences scheduled but not yet executed or cancelled.  Liveness is
-        # checked with one dict op per event (``pop``) instead of the
-        # get-then-delete pair of the reference queue.
-        self._pending: Dict[int, None] = {}
-        self._next_sequence = 0
-        self.now_ms: float = 0.0
-
-    def schedule(
-        self,
-        time_ms: float,
-        callback: Callable[[], None],
-        priority: int = EVENT_PRIORITY_DEFAULT,
-    ) -> int:
-        sequence = self._next_sequence
-        self._next_sequence = sequence + 1
-        if time_ms < self.now_ms:
-            time_ms = self.now_ms
-        heapq.heappush(self._heap, (time_ms, priority, sequence, callback))
-        self._pending[sequence] = None
-        return sequence
-
-    def cancel(self, handle: int) -> None:
-        self._pending.pop(handle, None)
-
-    def __len__(self) -> int:
-        return len(self._pending)
-
-    @property
-    def empty(self) -> bool:
-        return not self._pending
-
-    def peek_time(self) -> Optional[float]:
-        heap = self._heap
-        pending = self._pending
-        while heap and heap[0][2] not in pending:
-            heapq.heappop(heap)
-        return heap[0][0] if heap else None
-
-    def run_until(self, end_time_ms: float) -> int:
-        heap = self._heap
-        pending = self._pending
-        heappop = heapq.heappop
-        missing = _MISSING
-        executed = 0
-        while heap:
-            entry = heap[0]
-            if entry[0] > end_time_ms:
-                break
-            heappop(heap)
-            if pending.pop(entry[2], missing) is missing:
-                continue  # lazily discard cancelled events
-            self.now_ms = entry[0]
-            entry[3]()
-            executed += 1
-        if self.now_ms < end_time_ms:
-            self.now_ms = end_time_ms
-        return executed
-
-
 # ------------------------------------------------------------ batched replica
 
 
@@ -259,9 +178,6 @@ class _BatchedSimulator(Simulator):
         self._online_counts: Dict[str, int] = {}
 
     # ------------------------------------------------------------- the hooks
-
-    def _make_queue(self):
-        return _FastEventQueue()
 
     def _job_network(self, application: DNNApplication, configuration: float):
         key = (id(application), configuration)
@@ -578,15 +494,14 @@ def make_batched_simulator(
     config: Optional[SimulatorConfig] = None,
     fault_plan: Optional[FaultPlan] = None,
 ) -> Simulator:
-    """One lock-step replica on shared stores, for external drivers.
+    """One lock-step replica on shared stores.
 
-    The fleet orchestrator (:mod:`repro.fleet`) steers many simulators
-    itself (placing and migrating applications between ``advance_to``
-    strides), so it cannot go through :meth:`BatchedEngine.run`; this
-    factory applies the same construction rules — attach a
-    :class:`SharedOperatingPointCache` to cache-bearing runtime managers,
-    then build the memoised replica — so externally-driven replicas stay
-    bit-identical to serial simulators.
+    Attaches a :class:`SharedOperatingPointCache` to cache-bearing runtime
+    managers, then builds the memoised replica.  :meth:`BatchedEngine.run`
+    builds its replicas here, and so does the fleet orchestrator
+    (:mod:`repro.fleet`), which steers many simulators itself (placing and
+    migrating applications between ``advance_to`` strides) and therefore
+    cannot go through the engine.
     """
     if isinstance(manager, RuntimeManager) and manager.cache is not None:
         manager.set_operating_point_cache(SharedOperatingPointCache(stores))
@@ -675,18 +590,15 @@ class BatchedEngine:
             if len(groups[group_key]) > 1:
                 self.stores.deduplicated_replicas += 1
 
-        replicas: List[Tuple[List[str], _BatchedSimulator]] = []
+        replicas: List[Tuple[List[str], Simulator]] = []
         for group in groups.values():
             primary = group[0]
             labels = [case.label for case in group]
             try:
-                manager = primary.manager
-                if isinstance(manager, RuntimeManager) and manager.cache is not None:
-                    manager.set_operating_point_cache(SharedOperatingPointCache(self.stores))
-                simulator = _BatchedSimulator(
+                simulator = make_batched_simulator(
                     primary.scenario,
-                    manager,
-                    stores=self.stores,
+                    primary.manager,
+                    self.stores,
                     energy_model=primary.energy_model,
                     config=primary.config,
                     fault_plan=primary.fault_plan,

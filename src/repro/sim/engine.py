@@ -16,6 +16,7 @@ management schemes.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import isfinite
 from typing import Dict, List, Optional, Protocol
 
 from repro.perfmodel.calibrated import CalibratedLatencyModel
@@ -96,6 +97,17 @@ class SimulatorConfig:
     retry_interval_ms: float = 100.0
 
     def __post_init__(self) -> None:
+        # NaN passes every ordered comparison below as "valid", and a NaN or
+        # infinite interval never lets the clock reach the scenario end.
+        for name in (
+            "decision_interval_ms",
+            "thermal_sample_interval_ms",
+            "migration_penalty_ms",
+            "busy_utilisation",
+            "retry_interval_ms",
+        ):
+            if not isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.decision_interval_ms <= 0 or self.thermal_sample_interval_ms <= 0:
             raise ValueError("intervals must be positive")
         if self.migration_penalty_ms < 0:
@@ -168,7 +180,7 @@ class Simulator:
             FaultInjector(plan, self.soc) if plan is not None else None
         )
         self._crash_profile = plan.job_crashes if plan is not None else None
-        self.queue = self._make_queue()
+        self.queue = EventQueue()
         self.trace = SimulationTrace(duration_ms=scenario.duration_ms)
         self._primed = False
         self._apps: Dict[str, AppRuntimeState] = {}
@@ -277,10 +289,6 @@ class Simulator:
     # with memoised implementations that replay the same float arithmetic and
     # are therefore bit-identical.  Each hook exists because profiling showed
     # its call site dominating the batched residual cost.
-
-    def _make_queue(self) -> EventQueue:
-        """Event queue factory (overridable)."""
-        return EventQueue()
 
     def _job_network(self, application: DNNApplication, configuration: float):
         """The network model an inference job at ``configuration`` runs."""

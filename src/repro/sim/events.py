@@ -1,21 +1,17 @@
 """Event queue of the discrete-event simulator.
 
-Events are (time, priority, sequence, callback) tuples on a binary heap.  The
-sequence number makes ordering deterministic for events scheduled at the same
-time, and the priority field lets structural events (arrivals, manager
-decisions) run before job releases scheduled at the same instant.
-
-Cancellation is lazy: cancelled events stay on the heap and are discarded
-when they surface at the top, and a live-event counter keeps ``__len__`` /
-``empty`` O(1) — neither operation scans or sorts the heap.
+Events are plain (time, priority, sequence, callback) tuples on a binary heap.
+The sequence number makes ordering deterministic for events scheduled at the
+same time, and the priority field lets structural events (arrivals, manager
+decisions) run before job releases scheduled at the same instant.  Events
+cannot be cancelled: a callback that no longer applies checks its own state
+when it fires.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Tuple
 
 __all__ = ["EventQueue", "EVENT_PRIORITY_STRUCTURAL", "EVENT_PRIORITY_DEFAULT"]
 
@@ -25,25 +21,14 @@ EVENT_PRIORITY_STRUCTURAL = 0
 EVENT_PRIORITY_DEFAULT = 10
 
 
-@dataclass(order=True)
-class _ScheduledEvent:
-    time_ms: float
-    priority: int
-    sequence: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    # True once the event has left the heap (executed or discarded); a
-    # cancel() arriving afterwards must not touch the live counter again.
-    popped: bool = field(default=False, compare=False)
-
-
 class EventQueue:
     """A deterministic time-ordered event queue."""
 
+    __slots__ = ("_heap", "_next_sequence", "now_ms")
+
     def __init__(self) -> None:
-        self._heap: List[_ScheduledEvent] = []
-        self._counter = itertools.count()
-        self._live = 0
+        self._heap: List[Tuple[float, int, int, Callable[[], None]]] = []
+        self._next_sequence = 0
         self.now_ms: float = 0.0
 
     def schedule(
@@ -51,56 +36,17 @@ class EventQueue:
         time_ms: float,
         callback: Callable[[], None],
         priority: int = EVENT_PRIORITY_DEFAULT,
-    ) -> _ScheduledEvent:
+    ) -> None:
         """Schedule ``callback`` to run at ``time_ms``.
 
         Scheduling in the past is clamped to the current time (the event runs
-        next).  Returns a handle that can be passed to :meth:`cancel`.
+        next).
         """
-        event = _ScheduledEvent(
-            time_ms=max(time_ms, self.now_ms),
-            priority=priority,
-            sequence=next(self._counter),
-            callback=callback,
-        )
-        heapq.heappush(self._heap, event)
-        self._live += 1
-        return event
-
-    def cancel(self, event: _ScheduledEvent) -> None:
-        """Cancel a scheduled event (it is skipped when popped).
-
-        Cancelling twice, or cancelling an event that already ran, is a
-        no-op.
-        """
-        if event.cancelled or event.popped:
-            return
-        event.cancelled = True
-        self._live -= 1
-
-    def _discard_cancelled_top(self) -> None:
-        """Pop cancelled events off the heap top until a live one surfaces."""
-        heap = self._heap
-        while heap and heap[0].cancelled:
-            heapq.heappop(heap).popped = True
-
-    def __len__(self) -> int:
-        return self._live
-
-    @property
-    def empty(self) -> bool:
-        """True when no live events remain."""
-        return self._live == 0
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the next live event, or ``None`` when empty.
-
-        Lazily discards cancelled events from the heap top — O(log n) per
-        cancelled event, amortised over the events that were cancelled, with
-        no full-heap sort.
-        """
-        self._discard_cancelled_top()
-        return self._heap[0].time_ms if self._heap else None
+        sequence = self._next_sequence
+        self._next_sequence = sequence + 1
+        if time_ms < self.now_ms:
+            time_ms = self.now_ms
+        heapq.heappush(self._heap, (time_ms, priority, sequence, callback))
 
     def run_until(self, end_time_ms: float) -> int:
         """Run events in order until the queue is empty or ``end_time_ms`` is reached.
@@ -109,19 +55,14 @@ class EventQueue:
         ``end_time_ms`` (or at the last event time if that is later due to an
         event scheduling exactly at the boundary).
         """
+        heap = self._heap
+        heappop = heapq.heappop
         executed = 0
-        while self._heap:
-            self._discard_cancelled_top()
-            if not self._heap:
-                break
-            event = self._heap[0]
-            if event.time_ms > end_time_ms:
-                break
-            heapq.heappop(self._heap)
-            event.popped = True
-            self._live -= 1
-            self.now_ms = event.time_ms
-            event.callback()
+        while heap and heap[0][0] <= end_time_ms:
+            time_ms, _, _, callback = heappop(heap)
+            self.now_ms = time_ms
+            callback()
             executed += 1
-        self.now_ms = max(self.now_ms, end_time_ms)
+        if self.now_ms < end_time_ms:
+            self.now_ms = end_time_ms
         return executed

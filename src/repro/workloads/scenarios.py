@@ -339,13 +339,13 @@ def thermal_stress_scenario(
 # ----------------------------------------------------------------- registry
 #
 # Named scenarios selectable from the CLI (``repro-experiments scenarios
-# list`` / ``sweep --scenarios ...``), from experiment specs
-# (:mod:`repro.experiments`) and from the parallel sweep runner.  Every
-# registered builder has the uniform signature
-# ``builder(seed=0, platform_name="odroid_xu3") -> Scenario`` so that sweep
-# cases can be described by (name, seed, platform) triples that cross process
-# boundaries without pickling closures.  Builders that are deterministic by
-# construction (the hand-written timelines above) simply ignore the seed.
+# list`` / ``sweep --scenarios ...``) and from experiment specs
+# (:mod:`repro.experiments`).  Every registered builder has the uniform
+# signature ``builder(seed=0, platform_name="odroid_xu3") -> Scenario`` so
+# that sweep cases can be described by (name, seed, platform) triples that
+# cross process boundaries without pickling closures.  Builders that are
+# deterministic by construction (the hand-written timelines above) simply
+# ignore the seed.
 
 #: Builders of named scenarios, keyed by registry name.  A mapping of
 #: ``name -> builder`` with per-entry metadata (``seeded``).

@@ -70,17 +70,17 @@ def fresh_dynamic_dnn():
 def registry_grid_cached():
     """Traces of every registry scenario x manager at seed 0 (cache enabled).
 
-    Session-scoped because two test modules consume the same 48 simulations:
-    the golden-trace regression locks their fingerprints, and the parity
-    sweep compares them against cache-off / multi-worker reruns.
+    Session-scoped because several test modules consume the same
+    simulations: the golden-trace regression locks their fingerprints, and
+    the parity sweep compares them against cache-off / multi-worker reruns.
+    Labels have the form ``scenario/manager/seed0``.
     """
-    from repro.analysis import ParallelSweepRunner
-    from repro.analysis.parallel import MANAGER_REGISTRY
+    from repro.experiments import MANAGER_REGISTRY, grid_specs, run_many
     from repro.workloads.scenarios import SCENARIO_REGISTRY
 
-    runner = ParallelSweepRunner(workers=1)
-    result = runner.grid(
+    specs = grid_specs(
         sorted(SCENARIO_REGISTRY), sorted(MANAGER_REGISTRY), seeds=[0], use_op_cache=True
     )
-    assert not result.errors, result.errors
-    return result
+    batch = run_many(specs, backend="serial")
+    assert not batch.errors, batch.errors
+    return batch

@@ -1,4 +1,4 @@
-"""Tests for the analysis subpackage (timelines, reports, sweeps)."""
+"""Tests for the analysis subpackage (timelines, reports)."""
 
 import pytest
 
@@ -11,17 +11,14 @@ from repro.analysis.report import (
     operating_point_rows,
     trace_comparison_rows,
 )
-from repro.analysis.parallel import ParallelSweepRunner
 from repro.analysis.timeline import (
     adaptation_events,
     application_timeline,
     phase_boundaries_from_scenario,
 )
-from repro.baselines import GovernorOnlyManager
-from repro.rtm import RuntimeManager
 from repro.rtm.operating_points import OperatingPoint
 from repro.sim.trace import JobRecord, SimulationTrace
-from repro.workloads import WorkloadGeneratorConfig, fig2_scenario, single_dnn_scenario
+from repro.workloads import fig2_scenario
 
 
 def _job(app_id, release, cluster, configuration, dropped=False, violations=()):
@@ -143,41 +140,3 @@ class TestReport:
         assert "violation rate" in text
         markdown = format_trace_comparison({"rtm": trace}, markdown=True)
         assert markdown.startswith("| manager")
-
-
-class TestSweeps:
-    def test_manager_sweep_replays_scenario_per_manager(self, trained_dnn):
-        factory = lambda: single_dnn_scenario(duration_ms=2000.0)  # noqa: E731
-        sweep = ParallelSweepRunner().manager_sweep(
-            factory,
-            {"rtm": RuntimeManager, "governor": GovernorOnlyManager},
-        )
-        assert set(sweep.traces) == {"rtm", "governor"}
-        assert set(sweep.violation_rates()) == {"rtm", "governor"}
-        assert sweep.best_case() in {"rtm", "governor"}
-        assert all(energy >= 0 for energy in sweep.energies_mj().values())
-        assert all(0 <= acc <= 100 for acc in sweep.mean_accuracies().values())
-
-    def test_empty_sweep_best_case_raises(self):
-        from repro.analysis.sweep import SweepResult
-
-        with pytest.raises(ValueError):
-            SweepResult().best_case()
-
-    def test_seed_sweep_aggregates(self, trained_dnn):
-        config = WorkloadGeneratorConfig(
-            num_dnn_apps=1, num_background_apps=0, duration_ms=2000.0
-        )
-        result = ParallelSweepRunner().seed_sweep(
-            RuntimeManager,
-            seeds=[1, 2],
-            generator_config=config,
-        )
-        assert result["seeds"] == [1, 2]
-        assert set(result["violation_rates"]) == {1, 2}
-        assert 0.0 <= result["mean_violation_rate"] <= 1.0
-        assert result["worst_violation_rate"] >= result["mean_violation_rate"] - 1e-9
-
-    def test_seed_sweep_requires_seeds(self):
-        with pytest.raises(ValueError):
-            ParallelSweepRunner().seed_sweep(RuntimeManager, seeds=[])

@@ -3,9 +3,9 @@
 The operating-point cache is a pure memoisation layer: for every registry
 scenario under every registered manager, the cached and uncached simulations
 must produce bit-for-bit identical traces (same fingerprints, same
-aggregates).  The uncached grid is executed through the
-``ParallelSweepRunner`` with two workers, so one pass also re-checks that
-worker fan-out does not perturb results; a smaller triangulation run pins
+aggregates).  The uncached grid is executed through ``run_many`` on the
+``process`` backend with two workers, so one pass also re-checks that worker
+fan-out does not perturb results; a smaller triangulation run pins
 serial-uncached against both.
 """
 
@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import ParallelSweepRunner
-from repro.analysis.parallel import MANAGER_REGISTRY
+from repro.experiments import MANAGER_REGISTRY, grid_specs, run_many
 from repro.workloads.scenarios import SCENARIO_REGISTRY
 
 SCENARIOS = sorted(SCENARIO_REGISTRY)
@@ -24,8 +23,10 @@ MANAGERS = sorted(MANAGER_REGISTRY)
 @pytest.fixture(scope="module")
 def registry_grid_uncached_parallel():
     """Every scenario x manager at seed 0, cache off, two worker processes."""
-    result = ParallelSweepRunner(workers=2).grid(
-        SCENARIOS, MANAGERS, seeds=[0], use_op_cache=False
+    result = run_many(
+        grid_specs(SCENARIOS, MANAGERS, seeds=[0], use_op_cache=False),
+        backend="process",
+        workers=2,
     )
     assert not result.errors, result.errors
     return result
@@ -83,8 +84,9 @@ class TestWorkerCountParity:
     ):
         scenarios = ["steady", "thermal_stress"]
         managers = ["rtm", "static_deployment"]
-        serial = ParallelSweepRunner(workers=1).grid(
-            scenarios, managers, seeds=[0], use_op_cache=False
+        serial = run_many(
+            grid_specs(scenarios, managers, seeds=[0], use_op_cache=False),
+            backend="serial",
         )
         assert not serial.errors, serial.errors
         for name, trace in serial.traces.items():

@@ -914,3 +914,14 @@ class TestStoreCommands:
             == 2
         )
         assert "single timed pass" in capsys.readouterr().err
+
+
+class TestCliByteParity:
+    def test_sweep_output_is_identical_across_worker_counts(self, capsys):
+        # A seeded scenario, so both invocations really run two distinct cases.
+        argv = ["sweep", "--scenarios", "steady", "--managers", "rtm", "--seeds", "2"]
+        assert main([*argv, "--workers", "1"]) == 0
+        serial_output = capsys.readouterr().out
+        assert main([*argv, "--workers", "2"]) == 0
+        parallel_output = capsys.readouterr().out
+        assert serial_output == parallel_output

@@ -2,13 +2,16 @@
 
 Covers the generic registry, spec round-tripping (dict / TOML / JSON),
 content-hash stability across process boundaries, spec execution parity with
-the legacy sweep path (golden fingerprints), and worker-count-independent
-replay of committed spec files — the reproducibility contract of the API.
+direct simulation (golden fingerprints), ``run_many`` across backends and
+worker counts (ordering, per-spec error isolation, override forwarding), and
+worker-count-independent replay of committed spec files — the
+reproducibility contract of the API.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,18 +20,22 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.analysis.parallel import SweepCase
 from repro.experiments import (
+    MANAGER_REGISTRY,
+    ExperimentBatch,
     ExperimentSpec,
     SpecError,
     dump_specs,
     grid_specs,
     load_specs,
+    make_manager,
     run,
     run_many,
 )
 from repro.registry import Registry
-from repro.sim.engine import SimulatorConfig
+from repro.rtm import RuntimeManager
+from repro.sim.engine import simulate_scenario
+from repro.workloads.scenarios import build_scenario
 from tests.test_golden_traces import GOLDEN_FINGERPRINTS
 
 
@@ -82,6 +89,23 @@ class TestRegistry:
         registry = self.make()
         registry.unregister("alpha")
         assert "alpha" not in registry
+
+
+class TestManagerRegistry:
+    def test_known_managers(self):
+        assert {"rtm", "rtm_min_energy", "governor_only", "static_deployment"} <= set(
+            MANAGER_REGISTRY
+        )
+
+    def test_make_manager_builds_fresh_instances(self):
+        a = make_manager("rtm")
+        b = make_manager("rtm")
+        assert isinstance(a, RuntimeManager)
+        assert a is not b
+
+    def test_unknown_manager_raises_with_available_names(self):
+        with pytest.raises(KeyError, match="unknown manager 'nope'.*rtm"):
+            make_manager("nope")
 
 
 FULL_SPEC = ExperimentSpec(
@@ -342,28 +366,11 @@ class TestSpecExecution:
         result = run(ExperimentSpec(scenario=scenario, manager=manager, seed=0))
         assert result.trace.fingerprint() == GOLDEN_FINGERPRINTS[(scenario, manager)]
 
-    def test_spec_run_is_bit_identical_to_the_legacy_sweep_path(self, registry_grid_cached):
-        """Acceptance: run(spec) of rush_hour x rtm == the SweepCase path."""
+    def test_spec_run_is_bit_identical_to_direct_simulation(self):
+        """Acceptance: run(spec) of rush_hour x rtm == simulating the built objects."""
         spec_trace = run(ExperimentSpec(scenario="rush_hour", manager="rtm", seed=0)).trace
-        legacy_trace = registry_grid_cached.traces["rush_hour/rtm/seed0"]
-        assert spec_trace.fingerprint() == legacy_trace.fingerprint()
-
-    def test_sweep_case_to_spec_round_trip(self):
-        case = SweepCase(
-            name="x", scenario="steady", manager="rtm", seed=4,
-            platform_name="jetson_nano", use_op_cache=False,
-        )
-        spec = case.to_spec()
-        assert spec.label == "x"
-        assert (spec.scenario, spec.manager, spec.seed) == ("steady", "rtm", 4)
-        assert spec.platform == "jetson_nano" and spec.use_op_cache is False
-        config = SimulatorConfig(decision_interval_ms=125.0)
-        assert case.to_spec(config).simulator["decision_interval_ms"] == 125.0
-
-    def test_sweep_case_with_callables_does_not_convert(self):
-        case = SweepCase(name="x", scenario=lambda: None, manager="rtm")
-        with pytest.raises(ValueError, match="callable scenario/manager factories"):
-            case.to_spec()
+        direct_trace = simulate_scenario(build_scenario("rush_hour", seed=0), make_manager("rtm"))
+        assert spec_trace.fingerprint() == direct_trace.fingerprint()
 
     def test_rtm_policy_and_overrides_reach_the_manager(self):
         from repro.experiments import build_manager_from_spec
@@ -425,11 +432,20 @@ class TestSpecExecution:
         # Ints are acceptable for float fields.
         ExperimentSpec(scenario="steady", simulator={"decision_interval_ms": 250}).validate()
 
-    def test_simulator_overrides_are_applied(self):
-        fast = run(
-            ExperimentSpec(scenario="single_dnn", simulator={"decision_interval_ms": 250.0})
-        ).trace
-        slow = run(ExperimentSpec(scenario="single_dnn")).trace
+    @pytest.mark.parametrize("backend", [None, "serial", "batched"])
+    def test_simulator_overrides_are_applied(self, backend):
+        specs = [
+            ExperimentSpec(
+                name="fast", scenario="single_dnn", simulator={"decision_interval_ms": 250.0}
+            ),
+            ExperimentSpec(name="slow", scenario="single_dnn"),
+        ]
+        if backend is None:
+            fast, slow = (run(spec).trace for spec in specs)
+        else:
+            traces = run_many(specs, backend=backend).traces
+            fast, slow = traces["fast"], traces["slow"]
+        # Twice the decision epochs in the same simulated time.
         assert len(fast.decisions) > len(slow.decisions)
 
     def test_cached_and_uncached_specs_are_bit_identical(self):
@@ -454,14 +470,40 @@ class TestRunMany:
         with pytest.raises(ValueError, match="workers"):
             run_many([ExperimentSpec(scenario="steady")], workers=0)
 
-    def test_errors_are_captured_per_spec(self):
+    @pytest.mark.parametrize(
+        "backend, workers", [("serial", 1), ("process", 2), ("batched", 1)]
+    )
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"scenario": "steady", "platform": "not_a_platform"}, "unknown platform preset"),
+            ({"scenario": "not_a_scenario"}, "unknown scenario"),
+            ({"manager": "not_a_manager", "scenario": "single_dnn"}, "unknown manager"),
+            (
+                {"scenario": "single_dnn", "simulator": {"decision_interval_ms": math.nan}},
+                "decision_interval_ms must be finite",
+            ),
+        ],
+        ids=["platform", "scenario", "manager", "nan_interval"],
+    )
+    def test_errors_are_captured_per_spec(self, backend, workers, bad, message):
         specs = [
-            ExperimentSpec(name="bad", scenario="steady", platform="not_a_platform"),
-            ExperimentSpec(scenario="single_dnn"),
+            ExperimentSpec(name="bad", **bad),
+            ExperimentSpec(scenario="single_dnn", scenario_params={"duration_ms": 2000.0}),
+            ExperimentSpec(
+                scenario="single_dnn", manager="governor_only",
+                scenario_params={"duration_ms": 2000.0},
+            ),
         ]
-        batch = run_many(specs, validate=False)
-        assert "unknown platform preset" in batch.errors["bad"]
-        assert list(batch.traces) == ["single_dnn/rtm/seed0"]
+        batch = run_many(specs, backend=backend, workers=workers, validate=False)
+        assert list(batch.errors) == ["bad"]
+        assert message in batch.errors["bad"]
+        assert list(batch.traces) == ["single_dnn/rtm/seed0", "single_dnn/governor_only/seed0"]
+        assert all(len(trace.jobs) > 0 for trace in batch.traces.values())
+
+    def test_empty_batch_has_no_best_case(self):
+        with pytest.raises(ValueError, match="no results"):
+            ExperimentBatch().best_case()
 
     def test_spec_file_replay_is_worker_count_independent(self, tmp_path):
         """Acceptance: a sweep from a spec file re-runs identically on 1 and N workers."""

@@ -13,6 +13,7 @@ Regenerate the golden table after an intentional behaviour change with::
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Tuple
 
 import pytest
@@ -148,6 +149,9 @@ class TestFleetSpec:
             )
         with pytest.raises(FleetSpecError, match="epoch_ms"):
             FleetSpec.from_dict({"scenario": "fleet_stragglers", "epoch_ms": -1.0})
+        for key in ("epoch_ms", "migration_latency_ms"):
+            with pytest.raises(FleetSpecError, match=f"{key}.*finite"):
+                FleetSpec(scenario="fleet_stragglers", **{key: math.nan}).validate()
 
     def test_single_spec_toml_has_no_header(self):
         text = fleet_specs_to_toml([FleetSpec(scenario="fleet_stragglers")])
