@@ -501,6 +501,76 @@ class TestRunMany:
         assert list(batch.traces) == ["single_dnn/rtm/seed0", "single_dnn/governor_only/seed0"]
         assert all(len(trace.jobs) > 0 for trace in batch.traces.values())
 
+    @pytest.mark.parametrize(
+        "backend, workers", [("serial", 1), ("process", 2), ("batched", 1)]
+    )
+    def test_results_follow_submission_order(self, backend, workers):
+        short = {"duration_ms": 2000.0}
+        specs = [
+            ExperimentSpec(scenario="single_dnn", manager="governor_only", scenario_params=short),
+            ExperimentSpec(scenario="steady", seed=1, scenario_params=short),
+            ExperimentSpec(scenario="single_dnn", scenario_params=short),
+            ExperimentSpec(scenario="steady", seed=0, scenario_params=short),
+        ]
+        batch = run_many(specs, backend=backend, workers=workers)
+        assert not batch.errors
+        assert list(batch.traces) == [spec.label for spec in specs]
+        assert list(batch.violation_rates()) == [spec.label for spec in specs]
+
+    @pytest.mark.parametrize("backend, workers", [("process", 2), ("batched", 1)])
+    def test_seed_grid_aggregates_match_the_serial_backend(self, backend, workers):
+        specs = [
+            ExperimentSpec(scenario="steady", seed=seed, scenario_params={"duration_ms": 2000.0})
+            for seed in (1, 2)
+        ]
+        serial = run_many(specs, backend="serial")
+        other = run_many(specs, backend=backend, workers=workers)
+        assert not serial.errors and not other.errors
+        assert list(serial.traces) == list(other.traces) == [
+            "steady/rtm/seed1",
+            "steady/rtm/seed2",
+        ]
+        assert serial.violation_rates() == other.violation_rates()
+        assert serial.energies_mj() == other.energies_mj()
+        assert serial.mean_accuracies() == other.mean_accuracies()
+        assert serial.best_case() == other.best_case()
+
+    @pytest.mark.parametrize("backend", ["serial", "batched"])
+    def test_aggregates_cover_only_the_surviving_specs(self, backend):
+        short = {"duration_ms": 2000.0}
+        specs = [
+            ExperimentSpec(scenario="steady", seed=1, scenario_params=short),
+            ExperimentSpec(
+                scenario="steady", seed=2, platform="not_a_platform", scenario_params=short
+            ),
+            ExperimentSpec(scenario="steady", seed=3, scenario_params=short),
+        ]
+        batch = run_many(specs, backend=backend, validate=False)
+        survivors = ["steady/rtm/seed1", "steady/rtm/seed3"]
+        assert list(batch.errors) == ["steady/rtm/seed2"]
+        assert list(batch.violation_rates()) == survivors
+        assert list(batch.energies_mj()) == survivors
+        assert list(batch.mean_accuracies()) == survivors
+        assert batch.best_case() in survivors
+        assert len(batch) == batch.computed_count == 2
+
+    def test_manager_grid_aggregates_are_well_formed(self):
+        batch = run_many(
+            [
+                ExperimentSpec(
+                    scenario="single_dnn", manager=manager,
+                    scenario_params={"duration_ms": 2000.0},
+                )
+                for manager in ("rtm", "governor_only")
+            ]
+        )
+        labels = ["single_dnn/rtm/seed0", "single_dnn/governor_only/seed0"]
+        assert list(batch.violation_rates()) == labels
+        assert all(0.0 <= rate <= 1.0 for rate in batch.violation_rates().values())
+        assert all(energy >= 0.0 for energy in batch.energies_mj().values())
+        assert all(0.0 <= acc <= 100.0 for acc in batch.mean_accuracies().values())
+        assert batch.best_case() in labels
+
     def test_empty_batch_has_no_best_case(self):
         with pytest.raises(ValueError, match="no results"):
             ExperimentBatch().best_case()

@@ -119,6 +119,42 @@ class TestEventQueueSemantics:
         assert order == ["a", "b"]
         assert queue.now_ms == 100.0
 
+    def test_run_until_on_empty_queue_advances_the_clock(self):
+        queue = EventQueue()
+        assert queue.run_until(50.0) == 0
+        assert queue.now_ms == 50.0
+        # A later event scheduled "in the past" relative to the clock is clamped.
+        order = []
+        queue.schedule(10.0, lambda: order.append(queue.now_ms))
+        assert queue.run_until(60.0) == 1
+        assert order == [50.0]
+
+    def test_followups_beyond_the_horizon_wait_for_the_next_run(self):
+        queue = EventQueue()
+        order = []
+        queue.schedule(90.0, lambda: queue.schedule(150.0, lambda: order.append("followup")))
+        assert queue.run_until(100.0) == 1
+        assert order == []
+        assert queue.now_ms == 100.0
+        assert queue.run_until(200.0) == 1
+        assert order == ["followup"]
+
+    def test_split_runs_execute_the_same_events_as_one_run(self):
+        def schedule_all(queue, order):
+            for time_ms in (5.0, 25.0, 25.0, 40.0, 75.0, 99.0):
+                queue.schedule(time_ms, lambda t=time_ms: order.append(t))
+
+        whole, whole_order = EventQueue(), []
+        schedule_all(whole, whole_order)
+        total = whole.run_until(100.0)
+
+        split, split_order = EventQueue(), []
+        schedule_all(split, split_order)
+        counts = [split.run_until(end) for end in (25.0, 50.0, 100.0)]
+        assert counts == [3, 1, 2]
+        assert sum(counts) == total == 6
+        assert split_order == whole_order
+
 
 class TestSimulatorConfigValidation:
     @pytest.mark.parametrize(
