@@ -14,7 +14,7 @@ that the operating-point machinery in :mod:`repro.rtm` can price every
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Protocol, Tuple
+from typing import Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -156,20 +156,22 @@ class EnergyModel:
 
     def cost_grid(
         self,
-        network: NetworkModel,
+        networks: Sequence[NetworkModel],
         cluster: Cluster,
         frequencies_mhz: "list[float]",
         core_counts: "list[int]",
         temperature_c: float = 45.0,
         soc_name: Optional[str] = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorised :meth:`cost` over a (cores x frequency) grid.
+        """Vectorised :meth:`cost` over a (networks x cores x frequency) grid.
 
         Returns ``(latency_ms, power_mw, energy_mj)`` arrays of shape
-        ``(len(core_counts), len(frequencies_mhz))`` whose entries are
-        bit-identical to per-point :meth:`cost` calls — this is the pricing
-        backend of the columnar operating-point kernel.  Requires a latency
-        estimator with a ``latency_grid_ms`` method (see
+        ``(len(networks), len(core_counts), len(frequencies_mhz))`` whose
+        entries are bit-identical to per-point :meth:`cost` calls — this is
+        the pricing backend of the columnar operating-point kernel.  Power
+        does not depend on the network, so it is priced once per grid and
+        broadcast (the returned power array is a read-only view).  Requires a
+        latency estimator with a ``latency_grid_ms`` method (see
         :attr:`supports_grid_pricing`); callers fall back to per-point
         pricing for custom estimators without one.
         """
@@ -185,8 +187,13 @@ class EnergyModel:
             [cluster.opp_table.point_at(f).voltage_v for f in frequencies_mhz], dtype=float
         )
         clamped = [min(count, cluster.num_cores) for count in core_counts]
-        latency = self.latency_model.latency_grid_ms(
-            network, cluster, frequencies, core_counts, soc_name=soc_name
+        latency = np.stack(
+            [
+                self.latency_model.latency_grid_ms(
+                    network, cluster, frequencies, core_counts, soc_name=soc_name
+                )
+                for network in networks
+            ]
         )
         # Rows with count > online are priced hypothetically (grid clips idle
         # cores at zero), matching inference_power_mw's max(online, cores_used).
@@ -199,4 +206,4 @@ class EnergyModel:
             online_cores=len(cluster.online_cores),
         )
         energy = power * latency / 1000.0
-        return latency, power, energy
+        return latency, np.broadcast_to(power, latency.shape), energy

@@ -82,8 +82,8 @@ def temperature_bucket_c(
     (leakage changes little across a few degrees), so consecutive decision
     epochs share cache entries until the SoC actually crosses a bucket edge.
     """
-    if width_c <= 0:
-        raise ValueError("width_c must be positive")
+    if not math.isfinite(width_c) or width_c <= 0:
+        raise ValueError("width_c must be positive and finite")
     return round(math.floor(temperature_c / width_c) * width_c, 6)
 
 

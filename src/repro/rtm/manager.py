@@ -17,6 +17,7 @@ the highest accuracy...").
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass, field
+from math import isfinite
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -78,6 +79,10 @@ class RTMConfig:
     temperature_bucket_width_c: float = DEFAULT_TEMPERATURE_BUCKET_C
 
     def __post_init__(self) -> None:
+        # NaN passes every ordered comparison below as "valid".
+        for name in ("decision_interval_ms", "thermal_margin_c", "temperature_bucket_width_c"):
+            if not isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.decision_interval_ms <= 0:
             raise ValueError("decision_interval_ms must be positive")
         if self.max_cores_per_app <= 0:

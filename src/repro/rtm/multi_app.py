@@ -319,8 +319,10 @@ class MultiAppAllocator:
         # union, then let the policy score the surviving columns in numpy.
         # Per-cluster pre-fronting is behaviour-preserving (domination is
         # transitive, so the front of the union equals the front of the union
-        # of per-cluster fronts, in the same order) and keeps the O(n^2)
-        # domination broadcast on small per-cluster tables.
+        # of per-cluster fronts, in the same order).  The fronts are kept per
+        # cluster because the cache memoises each one under its own query
+        # key, so an epoch that changes one cluster's query re-fronts only
+        # that cluster.
         cluster_fronts: List[OperatingPointTable] = []
         query_keys: List[tuple] = []
         for name in clusters:

@@ -27,6 +27,7 @@ scalar enumeration — the golden-trace fingerprints in
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -161,8 +162,7 @@ class OperatingPointTable:
 
     @staticmethod
     def _freeze(array: np.ndarray) -> np.ndarray:
-        if array.flags.writeable and array.flags.owndata:
-            array.flags.writeable = False
+        array.flags.writeable = False
         return array
 
     # ------------------------------------------------------------ construction
@@ -339,33 +339,12 @@ class OperatingPointTable:
     ) -> "OperatingPointTable":
         """Pareto-optimal subset as a table view (row order preserved).
 
-        For larger tables the front is computed hierarchically: rows are
-        partitioned by dynamic-DNN configuration, each partition is
-        pre-fronted, and the final front is taken over the survivors.  A
-        hierarchical front over any partition equals the direct front
-        (domination is transitive, so every dominated row is dominated by
-        some member of its partition's front), while the O(n^2) domination
-        broadcasts run on much smaller row sets — within one configuration
-        the frequency/core sweep produces dense domination chains, so the
-        partitions collapse hard before the cross-partition pass.
+        The front is one :func:`pareto_mask` over the objective matrix; the
+        survivors keep their table order.
         """
         if len(self) < 2:
             return self
-        matrix = self.objective_matrix(objectives, maximise)
-        if len(self) >= 64:
-            values, labels = np.unique(self.configuration, return_inverse=True)
-            if len(values) > 1:
-                chunks = [
-                    np.flatnonzero(labels == group) for group in range(len(values))
-                ]
-                survivors = np.sort(
-                    np.concatenate(
-                        [idx[~pareto_mask(matrix[idx])] for idx in chunks]
-                    )
-                )
-                final = ~pareto_mask(matrix[survivors])
-                return self.take(survivors[final])
-        return self.take(np.flatnonzero(~pareto_mask(matrix)))
+        return self.take(np.flatnonzero(~pareto_mask(self.objective_matrix(objectives, maximise))))
 
 
 def pareto_mask(matrix: np.ndarray) -> np.ndarray:
@@ -380,11 +359,14 @@ def pareto_mask(matrix: np.ndarray) -> np.ndarray:
     if count < 2:
         return np.zeros(count, dtype=bool)
     if count <= 2048:
-        # One broadcast pass.  no_worse[i, j] means "j is no worse than i on
-        # every column"; given that, "j strictly better somewhere" is exactly
-        # "i is NOT no-worse than j" (equal rows are no-worse both ways), so
-        # a single comparison plus its transpose covers both conditions.
-        no_worse = (matrix[None, :, :] <= matrix[:, None, :]).all(axis=2)
+        # no_worse[i, j] means "j is no worse than i on every column", built
+        # one contiguous (n x n) comparison per column.  Given that, "j
+        # strictly better somewhere" is exactly "i is NOT no-worse than j"
+        # (equal rows are no-worse both ways), so the matrix and its
+        # transpose cover both conditions.
+        no_worse = np.ones((count, count), dtype=bool)
+        for column in matrix.T:
+            no_worse &= column[None, :] <= column[:, None]
         return (no_worse & ~no_worse.T).any(axis=1)
     # Row-at-a-time fallback bounds the broadcast to O(n) memory.
     dominated = np.zeros(count, dtype=bool)
@@ -525,15 +507,13 @@ class OperatingPointSpace:
         if block is None:
             block = self._price_block(cluster, fractions, counts, frequencies, temperature_c)
             self._block_cache[key] = block
-            newly_priced = 0
-            for fraction in fractions:
-                for cores in counts:
-                    for frequency in frequencies:
-                        point_key = (cluster.name, online, temperature_c, fraction, cores, frequency)
-                        if point_key not in self._priced_keys:
-                            self._priced_keys.add(point_key)
-                            newly_priced += 1
-            self.points_priced += newly_priced
+            before = len(self._priced_keys)
+            self._priced_keys.update(
+                itertools.product(
+                    (cluster.name,), (online,), (temperature_c,), fractions, counts, frequencies
+                )
+            )
+            self.points_priced += len(self._priced_keys) - before
         return block
 
     def _price_block(
@@ -550,49 +530,34 @@ class OperatingPointSpace:
             return OperatingPointTable.empty()
         if not self.energy_model.supports_grid_pricing:
             return self._price_block_scalar(cluster, fractions, counts, frequencies, temperature_c)
-        per_block = len(counts) * len(frequencies)
-        latency = np.empty(rows, dtype=float)
-        power = np.empty(rows, dtype=float)
-        energy = np.empty(rows, dtype=float)
-        accuracy = np.empty(rows, dtype=float)
-        confidence = np.empty(rows, dtype=float)
-        configuration = np.empty(rows, dtype=float)
-        for index, fraction in enumerate(fractions):
-            network, top1, conf = self._fraction_data(fraction)
-            lat, pow_, ener = self.energy_model.cost_grid(
-                network,
-                cluster,
-                frequencies_mhz=list(frequencies),
-                core_counts=list(counts),
-                temperature_c=temperature_c,
-                soc_name=self.soc.name,
-            )
-            start = index * per_block
-            stop = start + per_block
-            latency[start:stop] = lat.ravel()
-            power[start:stop] = pow_.ravel()
-            energy[start:stop] = ener.ravel()
-            accuracy[start:stop] = top1
-            confidence[start:stop] = conf
-            configuration[start:stop] = fraction
-        cores_column = np.tile(
-            np.repeat(np.asarray(counts, dtype=np.int64), len(frequencies)), len(fractions)
+        networks, top1, confidence = zip(*(self._fraction_data(f) for f in fractions))
+        latency, power, energy = self.energy_model.cost_grid(
+            networks,
+            cluster,
+            frequencies_mhz=list(frequencies),
+            core_counts=list(counts),
+            temperature_c=temperature_c,
+            soc_name=self.soc.name,
         )
-        frequency_column = np.tile(
-            np.asarray(frequencies, dtype=float), len(fractions) * len(counts)
-        )
+        # Rows run fraction-major, then core count, then frequency.
+        per_fraction = len(counts) * len(frequencies)
+        latency = latency.ravel()
         return OperatingPointTable(
             cluster_names=(cluster.name,),
             cluster_index=np.zeros(rows, dtype=np.int64),
-            cores=cores_column,
+            cores=np.tile(
+                np.repeat(np.asarray(counts, dtype=np.int64), len(frequencies)), len(fractions)
+            ),
             latency_ms=latency,
-            power_mw=power,
-            energy_mj=energy,
-            accuracy_percent=accuracy,
-            confidence_percent=confidence,
+            power_mw=power.ravel(),
+            energy_mj=energy.ravel(),
+            accuracy_percent=np.repeat(np.asarray(top1, dtype=float), per_fraction),
+            confidence_percent=np.repeat(np.asarray(confidence, dtype=float), per_fraction),
             fps=1000.0 / latency,
-            frequency_mhz=frequency_column,
-            configuration=configuration,
+            frequency_mhz=np.tile(
+                np.asarray(frequencies, dtype=float), len(fractions) * len(counts)
+            ),
+            configuration=np.repeat(np.asarray(fractions, dtype=float), per_fraction),
         )
 
     def _price_block_scalar(

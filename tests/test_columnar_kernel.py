@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.bench import (
     BenchTimings,
@@ -27,6 +29,7 @@ from repro.rtm.cache import (
     soc_topology_key,
 )
 from repro.rtm.operating_points import (
+    OperatingPoint,
     OperatingPointSpace,
     OperatingPointTable,
     pareto_front,
@@ -71,8 +74,71 @@ REQUIREMENT_SETS = [
 ]
 
 
+#: Values the Pareto-mask reference tests draw from.
+_MASK_VALUES = (-np.inf, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0, np.inf)
+
+
+def _reference_dominated(matrix):
+    """Pure-Python domination: some other row is <= everywhere and differs.
+
+    Duplicate rows never dominate each other, so each distinct row is
+    checked once against the distinct rows.
+    """
+    rows = [tuple(row) for row in matrix.tolist()]
+    distinct = set(rows)
+    dominated = {
+        row: any(
+            other != row and all(o <= r for o, r in zip(other, row)) for other in distinct
+        )
+        for row in distinct
+    }
+    return [dominated[row] for row in rows]
+
+
+@pytest.fixture(scope="module", params=["all_online", "a15_core_offline"])
+def priced(request, trained_dnn, energy_model):
+    """(table, per-point reference) of a full enumeration.
+
+    With an a15 core offline the 4-core a15 rows are priced hypothetically
+    (more cores than are online), a distinct branch of the power grid.
+    """
+    from repro.platforms.presets import odroid_xu3
+
+    soc = odroid_xu3()
+    if request.param == "a15_core_offline":
+        soc.cluster("a15").cores[-1].set_online(False)
+    space = OperatingPointSpace(trained_dnn, soc, energy_model)
+    reference = []
+    for name in space.cluster_names:
+        cluster = soc.cluster(name)
+        fractions, counts, frequencies = space.candidate_axes(cluster)
+        for fraction in fractions:
+            network = trained_dnn.dynamic_dnn.model_for(fraction)
+            for cores in counts:
+                for frequency in frequencies:
+                    cost = energy_model.cost(
+                        network, cluster, frequency, cores, temperature_c=45.0,
+                        soc_name=soc.name,
+                    )
+                    reference.append(
+                        OperatingPoint(
+                            cluster_name=name,
+                            frequency_mhz=frequency,
+                            cores=cores,
+                            configuration=fraction,
+                            latency_ms=cost.latency_ms,
+                            power_mw=cost.power_mw,
+                            energy_mj=cost.energy_mj,
+                            accuracy_percent=trained_dnn.top1(fraction),
+                            confidence_percent=trained_dnn.confidence(fraction),
+                        )
+                    )
+    return space.enumerate_table(temperature_c=45.0), reference
+
+
 class TestTablePricingParity:
-    def test_columns_match_scalar_points_bitwise(self, table, points):
+    def test_columns_match_scalar_points_bitwise(self, priced):
+        table, points = priced
         assert len(table) == len(points)
         for row, point in enumerate(points):
             assert table.latency_ms[row] == point.latency_ms
@@ -182,14 +248,6 @@ class TestParetoParity:
     def test_table_pareto_matches_default_objectives(self, table, points):
         assert table.pareto().points == pareto_front(points)
 
-    def test_hierarchical_front_equals_direct_mask(self, table):
-        # The grouped fast path (n >= 64, several configurations) must equal
-        # the direct O(n^2) mask over the full matrix.
-        matrix = table.objective_matrix(DECISION_OBJECTIVES, DECISION_MAXIMISE)
-        direct = np.flatnonzero(~pareto_mask(matrix))
-        grouped = table.pareto(objectives=DECISION_OBJECTIVES, maximise=DECISION_MAXIMISE)
-        assert grouped.points == [table.point(i) for i in direct]
-
     def test_mask_handles_duplicates_and_ties(self):
         matrix = np.array(
             [
@@ -204,6 +262,31 @@ class TestParetoParity:
     def test_mask_empty_and_singleton(self):
         assert pareto_mask(np.empty((0, 3))).tolist() == []
         assert pareto_mask(np.array([[1.0, 2.0]])).tolist() == [False]
+
+    @given(
+        matrix=st.integers(0, 4).flatmap(
+            lambda width: st.lists(
+                st.lists(st.sampled_from(_MASK_VALUES), min_size=width, max_size=width),
+                max_size=40,
+            ).map(lambda rows: np.array(rows, dtype=float).reshape(len(rows), width))
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_mask_matches_reference(self, matrix):
+        # Few distinct values make duplicate rows, ties and +-inf common.
+        assert pareto_mask(matrix).tolist() == _reference_dominated(matrix)
+
+    def test_row_at_a_time_branch_matches_reference(self):
+        # Over 2,048 rows the mask switches to its bounded-memory branch.  A
+        # latency/energy-like trade-off keeps a front of a few hundred rows,
+        # with duplicates, ties and scattered +inf entries.
+        rng = np.random.default_rng(7)
+        first = rng.integers(0, 40, 2100).astype(float)
+        matrix = np.column_stack(
+            [first, 40.0 - first + rng.integers(0, 3, 2100), rng.integers(0, 3, 2100)]
+        )
+        matrix[rng.random(matrix.shape) < 0.01] = np.inf
+        assert pareto_mask(matrix).tolist() == _reference_dominated(matrix)
 
 
 class TestPolicySelectionParity:

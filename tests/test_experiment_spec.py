@@ -483,8 +483,12 @@ class TestRunMany:
                 {"scenario": "single_dnn", "simulator": {"decision_interval_ms": math.nan}},
                 "decision_interval_ms must be finite",
             ),
+            (
+                {"scenario": "single_dnn", "rtm": {"temperature_bucket_width_c": math.nan}},
+                "temperature_bucket_width_c must be finite",
+            ),
         ],
-        ids=["platform", "scenario", "manager", "nan_interval"],
+        ids=["platform", "scenario", "manager", "nan_interval", "nan_bucket_width"],
     )
     def test_errors_are_captured_per_spec(self, backend, workers, bad, message):
         specs = [

@@ -1,5 +1,7 @@
 """Tests for the caching operating-point engine (`repro.rtm.cache`)."""
 
+import math
+
 import pytest
 
 from repro.dnn.training import IncrementalTrainer
@@ -36,8 +38,10 @@ class TestTemperatureBucket:
         assert temperature_bucket_c(-3.0) == -5.0
 
     def test_rejects_non_positive_width(self):
-        with pytest.raises(ValueError):
-            temperature_bucket_c(45.0, width_c=0.0)
+        # Non-finite widths are rejected too: NaN passes ordered comparisons.
+        for width in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                temperature_bucket_c(45.0, width_c=width)
 
 
 class TestModelCacheKeys:

@@ -1,5 +1,7 @@
 """Tests for the runtime manager, the multi-app allocator and the governors."""
 
+import math
+
 import pytest
 
 from repro.data.measurements import CASE_STUDY_BUDGETS
@@ -275,6 +277,11 @@ class TestRuntimeManagerDecide:
             RTMConfig(decision_interval_ms=0.0)
         with pytest.raises(ValueError):
             RTMConfig(max_cores_per_app=0)
+        # NaN passes every ordered comparison, so finiteness is checked first.
+        for name in ("decision_interval_ms", "thermal_margin_c", "temperature_bucket_width_c"):
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    RTMConfig(**{name: value})
 
 
 class TestGovernors:
