@@ -280,7 +280,7 @@ def run_bench(
 
 @dataclass
 class BatchedBenchResult:
-    """Timings of the lock-step batched engine against the serial reference.
+    """Timings of the lock-step batched engine against the serial backend.
 
     ``fingerprints_identical`` is the correctness payload: every spec's trace
     fingerprint must match between the two backends, or the comparison is
@@ -330,8 +330,8 @@ def run_batched_bench(
     Each backend runs ``repeats`` times and the best wall time is kept.  The
     batched passes run *before* the serial ones: hundreds of live serial
     traces inflate allocator pressure for everything timed after them, and
-    ordering batched first keeps its measurement clean (the serial reference
-    is long enough to be insensitive to the leftover batched state).
+    ordering batched first keeps its measurement clean (the serial runs are
+    long enough to be insensitive to the leftover batched state).
 
     ``progress`` is an optional callable invoked with a one-line message per
     completed pass (the CLI prints them).
@@ -401,7 +401,7 @@ def compare_batched_bench(
 ) -> List[BenchRegression]:
     """Gate a fresh batched-engine timing against a committed baseline.
 
-    Only ``batched_s`` is gated — the serial reference is re-measured for
+    Only ``batched_s`` is gated — the serial backend is re-measured for
     the speedup report, not tracked.  Gating is skipped when the baseline
     measured a different spec count (the grids are not comparable).
     """

@@ -26,7 +26,7 @@ terminal without going through pytest:
 * ``bench``      — time decide()-per-epoch and end-to-end simulation across
   scenarios x managers, write/refresh ``BENCH_decision_kernel.json`` and
   optionally gate against a committed baseline; with ``--backend batched``
-  time the lock-step batched engine against the serial reference instead
+  time the lock-step batched engine against the serial backend instead
   and write/refresh ``BENCH_batched_engine.json``;
 * ``store``      — inspect the persistent results warehouse (``ls``,
   ``show``, ``export``, ``gc``, ``diff``).
@@ -1096,7 +1096,7 @@ BATCHED_BENCH_SMOKE_MANAGERS = ["rtm", "governor_only"]
 
 
 def _cmd_bench_batched(args: argparse.Namespace) -> int:
-    """Benchmark the batched engine against the serial reference backend."""
+    """Benchmark the batched engine against the serial backend."""
     if args.resume:
         # The batched comparison times one monolithic engine pass; there is
         # no per-case unit to resume, unlike the decision-kernel grid.
@@ -1529,12 +1529,12 @@ def cmd_fleet_bench(args: argparse.Namespace) -> int:
         if not result.fingerprints_identical:
             print(
                 "fleet fingerprint mismatch: the batched backend diverged from "
-                "the serial reference — do not trust the timing",
+                "the serial backend — do not trust the timing",
                 file=sys.stderr,
             )
             return 1
         print(
-            f"serial reference {result.serial_s:.2f} s; "
+            f"serial backend {result.serial_s:.2f} s; "
             "fleet fingerprints identical across backends"
         )
     print(
@@ -2044,7 +2044,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="serial",
         choices=["serial", "batched"],
         help="serial: time the decision kernel (default); batched: time the "
-        "lock-step engine against the serial reference",
+        "lock-step engine against the serial backend",
     )
     bench.add_argument(
         "--seeds",

@@ -4,8 +4,9 @@ An execution backend turns a sequence of validated :class:`ExperimentSpec`
 objects into an :class:`ExperimentBatch`.  Three ship with the repo:
 
 ``serial``
-    One spec after another in this process.  The reference implementation —
-    every other backend's results must be bit-identical to it.
+    One spec after another in this process.  Every backend runs the same
+    :class:`~repro.sim.engine.Simulator` and must produce bit-identical
+    results; the golden fingerprints are the reference.
 ``process``
     Fan the specs out over a :class:`~concurrent.futures.ProcessPoolExecutor`
     (``workers`` processes).  Best for a handful of long, heterogeneous
@@ -453,7 +454,7 @@ EXECUTION_BACKEND_REGISTRY: Registry[ExecutionBackend] = Registry("execution bac
 EXECUTION_BACKEND_REGISTRY.register(
     SerialBackend.name,
     SerialBackend,
-    summary="one spec after another in-process (the reference path)",
+    summary="one spec after another in-process",
 )
 EXECUTION_BACKEND_REGISTRY.register(
     ProcessBackend.name,

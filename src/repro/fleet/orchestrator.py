@@ -20,7 +20,7 @@ Determinism: devices are created, advanced and inspected in canonical order
 injections go through the event queue's (time, priority, sequence) ordering —
 so the fleet fingerprint is independent of device-table insertion order and
 bit-identical between the serial and batched execution backends (the batched
-backend shares operating-point/pricing stores fleet-wide, exactly like
+backend shares operating-point/decision stores fleet-wide, exactly like
 :class:`~repro.sim.batched.BatchedEngine`).
 """
 

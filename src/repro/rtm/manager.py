@@ -149,6 +149,7 @@ class RuntimeManager:
             policy_overrides=policy_overrides,
             cache=cache,
             temperature_bucket_width_c=self.config.temperature_bucket_width_c,
+            thermal_margin_c=self.config.thermal_margin_c,
         )
         self.decisions: List[RTMDecision] = []
         # Device monitors (Fig 5): per-cluster online-core gauges, registered
@@ -368,7 +369,11 @@ class RuntimeManager:
             caps = (
                 state.power_cap_mw,
                 state.throttling,
-                soc.thermal.sustainable_power_mw(margin_c=2.0) if state.throttling else None,
+                (
+                    soc.thermal.sustainable_power_mw(margin_c=self.config.thermal_margin_c)
+                    if state.throttling
+                    else None
+                ),
                 soc.idle_power_mw(),
             )
         home = tuple(sorted(self.allocator._home_cluster.items()))

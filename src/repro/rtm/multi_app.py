@@ -117,6 +117,9 @@ class MultiAppAllocator:
     temperature_bucket_width_c:
         Width of the leakage-temperature buckets used when pricing candidate
         points (applied whether or not a cache is attached).
+    thermal_margin_c:
+        Margin kept below the throttle threshold when a throttling platform's
+        sustainable power becomes the power cap.
     """
 
     def __init__(
@@ -130,6 +133,7 @@ class MultiAppAllocator:
         policy_overrides: Optional[Dict[str, SelectionPolicy]] = None,
         cache: Optional[OperatingPointCache] = None,
         temperature_bucket_width_c: float = DEFAULT_TEMPERATURE_BUCKET_C,
+        thermal_margin_c: float = 2.0,
     ) -> None:
         if max_cores_per_app <= 0:
             raise ValueError("max_cores_per_app must be positive")
@@ -143,6 +147,7 @@ class MultiAppAllocator:
         self.max_cores_per_app = max_cores_per_app
         self.cache = cache
         self.temperature_bucket_width_c = temperature_bucket_width_c
+        self.thermal_margin_c = thermal_margin_c
         #: Per-application policy overrides (app id -> policy); applications
         #: not listed use the default policy.
         self.policy_overrides: Dict[str, SelectionPolicy] = dict(policy_overrides or {})
@@ -204,7 +209,7 @@ class MultiAppAllocator:
         if state.power_cap_mw is not None:
             caps.append(state.power_cap_mw)
         if state.throttling:
-            caps.append(state.soc.thermal.sustainable_power_mw(margin_c=2.0))
+            caps.append(state.soc.thermal.sustainable_power_mw(margin_c=self.thermal_margin_c))
         if not caps:
             return None
         total_cap = min(caps)

@@ -15,12 +15,13 @@ management schemes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from math import isfinite
+from dataclasses import dataclass, field, replace
+from math import exp, isfinite
 from typing import Dict, List, Optional, Protocol
 
 from repro.perfmodel.calibrated import CalibratedLatencyModel
-from repro.perfmodel.energy import EnergyModel
+from repro.perfmodel.energy import EnergyModel, InferenceCost
+from repro.platforms.power import ClusterPowerModel
 from repro.platforms.soc import Soc
 from repro.rtm.state import (
     Action,
@@ -138,10 +139,25 @@ class _DNNRuntime:
     #: The (constant) release callback of this application, allocated once
     #: instead of once per scheduled release.
     release_cb: Optional[object] = None
+    #: Configuration -> network model / delivered accuracy of this
+    #: application's jobs (both pure functions of the trained model).
+    networks: Dict[float, object] = field(default_factory=dict)
+    accuracies: Dict[float, float] = field(default_factory=dict)
 
 
 class Simulator:
     """Discrete-event simulation of one scenario under one manager.
+
+    Serial runs, lock-step batch replicas (:mod:`repro.sim.batched`) and
+    fleet devices all run this class; a batch differs only in passing a
+    shared ``decision_store``.  The hot paths are memoised per run — job
+    networks and accuracies, job costs, cluster power constants and
+    online-core counts — and every memo replays the float arithmetic of the
+    call it stands for, operation for operation, so results are those of the
+    unmemoised models bit for bit (the golden fingerprints are the
+    reference).  The online-core memo needs one condition: cores go on- or
+    offline only through :meth:`_apply_actions` (fault events route through
+    it too), which drops the memo on every ``SetCoresOnline``.
 
     Parameters
     ----------
@@ -151,12 +167,19 @@ class Simulator:
         The resource manager driving the platform.
     energy_model:
         Cost estimator used to price inference jobs; defaults to the
-        Table-I-calibrated model.
+        Table-I-calibrated model.  Job costs are memoised only for the
+        default; an explicit model prices every job through
+        :meth:`EnergyModel.cost`.
     config:
         Simulation tunables.
     fault_plan:
         Faults to inject during the run; defaults to the scenario's attached
         plan (``scenario.fault_plan``), if any.
+    decision_store:
+        Cross-replica decision memo, keyed by (manager behaviour key,
+        decision signature).  Managers with a value-keyable behaviour replay
+        a stored decision instead of re-running ``decide``; ``None`` (the
+        default) calls ``manager.decide`` at every epoch.
     """
 
     def __init__(
@@ -166,9 +189,14 @@ class Simulator:
         energy_model: Optional[EnergyModel] = None,
         config: Optional[SimulatorConfig] = None,
         fault_plan: Optional[FaultPlan] = None,
+        decision_store: Optional[Dict[tuple, tuple]] = None,
     ) -> None:
         self.scenario = scenario
         self.manager = manager
+        # Memoise pricing only for the default model: its latency estimator
+        # is deterministic and temperature-independent, which the cost
+        # replay in _job_cost relies on.
+        self._memoise_costs = energy_model is None
         self.energy_model = energy_model or EnergyModel(CalibratedLatencyModel())
         self.config = config or SimulatorConfig()
         self.soc: Soc = scenario.build_platform()
@@ -193,14 +221,30 @@ class Simulator:
         self._busy_core_ms: Dict[str, float] = {}
         self._last_sample_ms: float = 0.0
         self._last_utilisations: Dict[str, float] = {}
+        # A manager with no value key for its behaviour opts out of sharing.
+        memo_key_fn = getattr(manager, "decision_memo_key", None)
+        memo_key = (
+            memo_key_fn() if decision_store is not None and callable(memo_key_fn) else None
+        )
+        self._decision_memo_key = memo_key
+        self._decision_store = decision_store if memo_key is not None else None
+        # Job costs keyed by (network, cluster, frequency, cores used, online
+        # cores); networks and clusters are long-lived (the trained model's
+        # and the soc's own), and every entry pins its network besides.
+        self._cost_memo: Dict[tuple, tuple] = {}
+        # Per-cluster power constants keyed by (cluster name, frequency).
+        self._cluster_power_memo: Dict[tuple, tuple] = {}
+        # Online-core count per cluster; see the class docstring.
+        self._online_counts: Dict[str, int] = {}
 
     # ------------------------------------------------------------------ run
 
     def prime(self) -> None:
         """Schedule the scenario's events and the periodic sampler chains.
 
-        Idempotent; called implicitly by :meth:`run`.  Exposed so that a
-        lock-step driver (:mod:`repro.sim.batched`) can prime many simulators
+        Idempotent; called implicitly by :meth:`run`.  Exposed so that code
+        steering many simulators — the lock-step batch of
+        :mod:`repro.sim.batched`, the fleet orchestrator — can prime them all
         and interleave their execution with :meth:`advance_to`.
         """
         if self._primed:
@@ -213,8 +257,7 @@ class Simulator:
                 priority=EVENT_PRIORITY_STRUCTURAL,
             )
         # Fault events are scheduled after the scenario's, so equal-time
-        # scenario/fault pairs replay in a fixed order (scenario first) in
-        # both the serial and the batched engine.
+        # scenario/fault pairs replay in a fixed order (scenario first).
         if self.fault_plan is not None:
             for fault in sorted(self.fault_plan.events, key=lambda f: (f.time_ms, f.kind)):
                 self.queue.schedule(
@@ -282,48 +325,90 @@ class Simulator:
 
         self.queue.schedule(time_ms, _depart, priority=EVENT_PRIORITY_STRUCTURAL)
 
-    # ---------------------------------------------------------------- hooks
-    #
-    # Single-call-site indirections over the hot paths.  The serial engine
-    # uses the defaults below unchanged; the batched engine overrides them
-    # with memoised implementations that replay the same float arithmetic and
-    # are therefore bit-identical.  Each hook exists because profiling showed
-    # its call site dominating the batched residual cost.
+    # --------------------------------------------------------- memoised models
 
-    def _job_network(self, application: DNNApplication, configuration: float):
-        """The network model an inference job at ``configuration`` runs."""
-        return application.dynamic_dnn.model_for(configuration)
-
-    def _job_cost(self, network, cluster, mapping: Mapping):
+    def _job_cost(self, network, cluster, mapping: Mapping) -> InferenceCost:
         """Latency/power/energy of one inference job at the current state."""
-        return self.energy_model.cost(
+        temperature_c = self.soc.thermal.temperature_c
+        cores_used = mapping.cores
+        key = None
+        if self._memoise_costs:
+            online = self._online_core_count(cluster)
+            key = (id(network), id(cluster), cluster.frequency_mhz, cores_used, online)
+            entry = self._cost_memo.get(key)
+            if entry is not None:
+                latency_ms, static_base, leak_coef, reference_c, cores_eff, dyn_busy, idle_term, _ = entry
+                # Replay of EnergyModel.cost: the latency estimate is
+                # temperature-independent; only the leakage term varies, so
+                # recompute the static power at the current temperature and
+                # re-accumulate the per-core dynamic terms in the model's order.
+                total = static_base * exp(leak_coef * (temperature_c - reference_c))
+                for _ in range(cores_eff):
+                    total += dyn_busy
+                if idle_term is not None:
+                    total += idle_term
+                return InferenceCost(
+                    latency_ms=latency_ms, power_mw=total, energy_mj=total * latency_ms / 1000.0
+                )
+        cost = self.energy_model.cost(
             network,
             cluster,
             frequency_mhz=None,
-            cores_used=mapping.cores,
-            temperature_c=self.soc.thermal.temperature_c,
+            cores_used=cores_used,
+            temperature_c=temperature_c,
             soc_name=self.soc.name,
         )
-
-    def _job_accuracy(self, application: DNNApplication, configuration: float) -> float:
-        """Delivered accuracy of a job that ran at ``configuration``."""
-        return application.accuracy_of(configuration)
-
-    def _job_violations(self, application: DNNApplication, sample: MetricSample) -> tuple:
-        """Metric names of the requirement violations of one job sample."""
-        return application.requirements.violated_metrics(sample)
-
-    def _manager_decide(self, state: SystemState):
-        """Run one manager decision epoch."""
-        return self.manager.decide(state)
-
-    def _total_power_mw(self, per_cluster_cores: Dict[str, List[float]]) -> float:
-        """Platform power draw for the sampled per-cluster utilisations."""
-        return self.soc.total_power_mw(per_cluster_cores)
+        power_model = cluster.power_model
+        if key is not None and type(power_model) is ClusterPowerModel:
+            params = power_model.params
+            voltage = cluster.voltage_v
+            frequency = cluster.frequency_mhz
+            dyn_busy = power_model.core_dynamic_mw(
+                voltage, frequency, self.energy_model.busy_utilisation
+            )
+            dyn_idle = power_model.core_dynamic_mw(voltage, frequency, 0.0)
+            cores_eff = min(cores_used, cluster.num_cores)
+            idle_cores = online - cores_eff
+            self._cost_memo[key] = (
+                cost.latency_ms,
+                # static_power_mw is (static * vscale) * exp-term; only the
+                # exp term is temperature-dependent.
+                params.static_mw * (voltage / params.nominal_voltage_v),
+                params.leakage_temp_coefficient,
+                params.reference_temperature_c,
+                cores_eff,
+                dyn_busy,
+                idle_cores * dyn_idle if idle_cores > 0 else None,
+                network,  # pin: keeps the id()-keyed entry unambiguous
+            )
+        return cost
 
     def _online_core_count(self, cluster) -> int:
         """Number of powered cores in ``cluster``."""
-        return len(cluster.online_cores)
+        counts = self._online_counts
+        count = counts.get(cluster.name)
+        if count is None:
+            count = counts[cluster.name] = len(cluster.online_cores)
+        return count
+
+    @staticmethod
+    def _cluster_power_entry(cluster) -> tuple:
+        """Memo entry of the per-cluster power constants at the current OPP."""
+        params = cluster.power_model.params
+        voltage = cluster.voltage_v
+        frequency = cluster.frequency_mhz
+        return (
+            params.static_mw * (voltage / params.nominal_voltage_v),
+            cluster.power_model.core_dynamic_mw(voltage, frequency, 1.0),
+            cluster.power_model.core_dynamic_mw(voltage, frequency, 0.0),
+            params.leakage_temp_coefficient,
+            params.reference_temperature_c,
+            params.idle_fraction,
+            # Partial-utilisation dynamic power is ceff*V*V*f*u,
+            # left-associated, so the leading product folds into one
+            # coefficient without changing a bit of the result.
+            params.ceff_mw_per_mhz_v2 * voltage * voltage * frequency,
+        )
 
     # ------------------------------------------------------ scenario events
 
@@ -411,8 +496,8 @@ class Simulator:
         """Apply one timeline fault, record it, and wake the manager.
 
         Core and frequency faults are routed through :meth:`_apply_actions`
-        so the batched engine's online-count and pricing memos invalidate
-        exactly as they do for RTM-issued actions.
+        so the online-core memo is dropped exactly as it is for RTM-issued
+        actions.
         """
         injector = self._fault_injector
         assert injector is not None
@@ -489,7 +574,20 @@ class Simulator:
 
     def _run_decision(self, trigger: str) -> None:
         state = self._system_state()
-        decision = self._manager_decide(state)
+        manager = self.manager
+        store = self._decision_store
+        signature = manager.decision_signature(state) if store is not None else None
+        if signature is None:
+            decision = manager.decide(state)
+        else:
+            key = (self._decision_memo_key, signature)
+            replay = store.get(key)
+            if replay is None:
+                decision, replay = manager.decide_recorded(state)
+                store[key] = replay
+            else:
+                actions, home_updates = replay
+                decision = manager.replay_decision(state, actions, home_updates)
         actions = list(getattr(decision, "actions", []) or [])
         self._apply_actions(actions)
         # Managers with an operating-point cache expose cumulative hit/miss
@@ -531,6 +629,7 @@ class Simulator:
                         online_cores = injector.effective_online(cluster, online_cores)
                     for index, core in enumerate(cluster.cores):
                         core.set_online(index < online_cores)
+                    self._online_counts.clear()
             elif isinstance(action, SetConfiguration):
                 self._apply_configuration(action)
             elif isinstance(action, MapApplication):
@@ -643,7 +742,12 @@ class Simulator:
         mapping = state.mapping
         assert mapping is not None
         cluster = self.soc.cluster(mapping.cluster_name)
-        network = self._job_network(application, mapping.configuration)
+        configuration = mapping.configuration
+        network = runtime.networks.get(configuration)
+        if network is None:
+            network = runtime.networks[configuration] = application.dynamic_dnn.model_for(
+                configuration
+            )
         cost = self._job_cost(network, cluster, mapping)
         latency_ms = cost.latency_ms + runtime.pending_penalty_ms
         runtime.pending_penalty_ms = 0.0
@@ -739,7 +843,9 @@ class Simulator:
             self._busy_core_ms[cluster_name] = self._busy_core_ms.get(
                 cluster_name, 0.0
             ) + (now - busy_since_ms) * cores * self.config.busy_utilisation
-        accuracy = self._job_accuracy(application, configuration)
+        accuracy = runtime.accuracies.get(configuration)
+        if accuracy is None:
+            accuracy = runtime.accuracies[configuration] = application.accuracy_of(configuration)
         period = application.period_ms()
         effective_period = max(latency_ms, period) if period is not None else latency_ms
         sample = MetricSample(
@@ -748,7 +854,7 @@ class Simulator:
             accuracy_percent=accuracy,
             fps=1000.0 / effective_period if effective_period > 0 else None,
         )
-        violations = self._job_violations(application, sample)
+        violations = application.requirements.violated_metrics(sample)
         state.last_sample = sample
         state.jobs_completed += 1
         if violations:
@@ -839,34 +945,79 @@ class Simulator:
     def _interval_power_and_utilisation(
         self, now_ms: float
     ) -> "tuple[float, Dict[str, float]]":
-        """Average power and per-cluster utilisation over the last interval."""
+        """Average power and per-cluster utilisation over the last interval.
+
+        For the stock :class:`ClusterPowerModel` this replays
+        ``Soc.total_power_mw`` over the sampled per-core utilisations (full
+        cores at 1.0, then one fractional core) from memoised per-cluster
+        constants: the same expressions in the same order, without ever
+        building the utilisation lists.
+        """
         interval_ms = max(now_ms - self._last_sample_ms, 1e-9)
         self._accrue_interval_busy_time(now_ms)
-        per_cluster_cores: Dict[str, List[float]] = {}
+        busy_core_ms = self._busy_core_ms
         cluster_utilisation: Dict[str, float] = {}
-        for cluster in self.soc.clusters:
+        temperature_c = self.soc.thermal.temperature_c
+        memo = self._cluster_power_memo
+        total = 0.0
+        for name, cluster in self.soc._clusters.items():
             # The true online count, which can be 0 when every core of the
             # cluster has failed: work stranded on a dead cluster contributes
             # no utilisation samples (the power model rejects more samples
-            # than online cores).  Fault-free this is identical to the old
-            # max(count, 1) form — busy work implies reserved (online) cores.
-            online = self._online_core_count(cluster)
-            avg_busy_cores = min(
-                self._busy_core_ms.get(cluster.name, 0.0) / interval_ms, float(online)
-            )
-            cluster_utilisation[cluster.name] = avg_busy_cores / max(online, 1)
+            # than online cores).
+            count = self._online_core_count(cluster)
+            avg_busy_cores = busy_core_ms.get(name, 0.0) / interval_ms
+            count_f = float(count)
+            if avg_busy_cores > count_f:
+                avg_busy_cores = count_f
+            cluster_utilisation[name] = avg_busy_cores / (count if count > 0 else 1)
             full_cores = int(avg_busy_cores)
             fraction = avg_busy_cores - full_cores
-            utilisations = [1.0] * full_cores
-            if fraction > 1e-3 and full_cores < online:
-                utilisations.append(fraction)
-            per_cluster_cores[cluster.name] = utilisations
-        power_mw = self._total_power_mw(per_cluster_cores)
+            # avg_busy_cores <= count, so the listed cores never outnumber
+            # the online ones.
+            has_fraction = fraction > 1e-3 and full_cores < count
+            listed = full_cores + 1 if has_fraction else full_cores
+            if type(cluster.power_model) is not ClusterPowerModel:
+                # A custom power model: materialise the list and take the
+                # scalar path.
+                utilisations = [1.0] * full_cores
+                if has_fraction:
+                    utilisations.append(fraction)
+                total += cluster.power_mw(
+                    core_utilisations=utilisations, temperature_c=temperature_c
+                )
+                continue
+            key = (name, cluster.frequency_mhz)
+            entry = memo.get(key)
+            if entry is None:
+                entry = memo[key] = self._cluster_power_entry(cluster)
+            (
+                static_base,
+                dyn_full,
+                dyn_idle,
+                leak_coefficient,
+                reference_c,
+                idle_fraction,
+                dyn_coefficient,
+            ) = entry
+            cluster_total = static_base * exp(
+                leak_coefficient * (temperature_c - reference_c)
+            )
+            for _ in range(full_cores):
+                cluster_total += dyn_full
+            if has_fraction:
+                cluster_total += dyn_coefficient * (
+                    fraction if fraction > idle_fraction else idle_fraction
+                )
+            idle_cores = count - listed
+            if idle_cores > 0:
+                cluster_total += idle_cores * dyn_idle
+            total += cluster_total
         # Running jobs continue into the next interval: the part after this
         # sample will be accrued then, so the accumulator resets here.
         self._busy_core_ms = {}
         self._last_sample_ms = now_ms
-        return power_mw, cluster_utilisation
+        return total, cluster_utilisation
 
     def _schedule_thermal_sample(self, time_ms: float) -> None:
         if time_ms > self.scenario.duration_ms:

@@ -1,4 +1,4 @@
-"""Batched lock-step engine: bit-identity against the serial reference.
+"""Batched lock-step engine: bit-identity against the serial backend.
 
 The batched backend's whole contract is that sharing decision machinery
 across replicas is an *optimisation*, never a behaviour change: every

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.rtm.manager import RTMConfig, RuntimeManager
 from repro.rtm.multi_app import MultiAppAllocator
 from repro.rtm.policies import MaxAccuracyUnderBudget
 from repro.rtm.state import (
@@ -138,6 +139,17 @@ class TestMultiAppAllocator:
         assert cap is not None and cap > 0
         cool = make_state(xu3, [AppRuntimeState(application=dnn)], throttling=False)
         assert allocator._power_cap_per_app(cool, num_apps=1) is None
+
+    def test_thermal_margin_lowers_the_throttling_cap(self, xu3, trained_dnn):
+        dnn = make_dnn_application("dnn1", trained_dnn, Requirements(target_fps=5.0))
+        hot = make_state(xu3, [AppRuntimeState(application=dnn)], throttling=True)
+        default = RuntimeManager()
+        wide = RuntimeManager(config=RTMConfig(thermal_margin_c=10.0))
+        default_cap = default.allocator._power_cap_per_app(hot, num_apps=1)
+        wide_cap = wide.allocator._power_cap_per_app(hot, num_apps=1)
+        assert wide_cap < default_cap
+        # The decision signature carries the cap input the margin changes.
+        assert wide.decision_signature(hot) != default.decision_signature(hot)
 
     def test_explicit_power_cap_used(self, allocator, xu3, trained_dnn):
         dnn = make_dnn_application("dnn1", trained_dnn, Requirements(target_fps=5.0))

@@ -2,11 +2,16 @@
 
 import pytest
 
+from repro.experiments.managers import make_manager
+from repro.perfmodel.calibrated import CalibratedLatencyModel
+from repro.perfmodel.energy import EnergyModel
+from repro.platforms.power import ClusterPowerModel
 from repro.rtm.manager import RuntimeManager
 from repro.rtm.state import MapApplication, SetConfiguration, SetFrequency
 from repro.sim.engine import Simulator, SimulatorConfig
+from repro.sim.faults import CoreFailure, CoreRecovery, FaultPlan
 from repro.workloads.requirements import Requirements
-from repro.workloads.scenarios import Scenario
+from repro.workloads.scenarios import Scenario, build_scenario
 from repro.workloads.tasks import (
     make_arvr_application,
     make_background_application,
@@ -217,3 +222,69 @@ class TestPowerIntegration:
         assert seen  # utilisation samples reached the manager
         assert all(0.0 <= value <= 1.0 for value in seen.values())
         assert max(seen.values()) > 0.0
+
+
+class _ScalarPowerModel(ClusterPowerModel):
+    """The stock power model under another type: no memoised replay applies."""
+
+
+def _run_registry_scenario(name, manager="rtm", energy_model=None, scalar_power=False, fault_plan=None):
+    simulator = Simulator(
+        build_scenario(name, seed=0),
+        make_manager(manager),
+        energy_model=energy_model,
+        fault_plan=fault_plan,
+    )
+    if scalar_power:
+        for cluster in simulator.soc.clusters:
+            cluster.power_model = _ScalarPowerModel(cluster.power_model.params)
+    return simulator, simulator.run()
+
+
+#: Every A15 core fails mid-run (under multi_dnn, while a job runs there)
+#: and comes back later.
+_A15_BLACKOUT = FaultPlan(
+    events=(
+        CoreFailure(time_ms=4_000.0, cluster="a15", cores=4),
+        CoreRecovery(time_ms=12_000.0, cluster="a15", cores=4),
+    )
+)
+
+
+class TestMemoisedArithmetic:
+    """The simulator's per-run memos against the models they replay."""
+
+    @pytest.mark.parametrize("name", ["chaos_double_fault", "thermal_stress"])
+    def test_cost_memo_matches_energy_model_cost(self, name):
+        # An explicit energy model prices every job through EnergyModel.cost.
+        reference, expected = _run_registry_scenario(
+            name, energy_model=EnergyModel(CalibratedLatencyModel())
+        )
+        memoised, actual = _run_registry_scenario(name)
+        assert not reference._cost_memo and memoised._cost_memo
+        assert actual.fingerprint() == expected.fingerprint()
+        if name == "thermal_stress":
+            # Leakage varies with temperature on every memo hit.
+            assert any(sample.throttling for sample in actual.power_samples)
+
+    @pytest.mark.parametrize(
+        "name, manager, fault_plan",
+        [
+            ("chaos_double_fault", "rtm", None),
+            ("thermal_stress", "rtm", None),
+            ("multi_dnn", "static_deployment", _A15_BLACKOUT),
+        ],
+        ids=["chaos_double_fault", "thermal_stress", "a15_blackout"],
+    )
+    def test_power_memo_matches_cluster_power_model(self, name, manager, fault_plan):
+        # A power model subclass takes the scalar cluster.power_mw fallback.
+        reference, expected = _run_registry_scenario(
+            name, manager, scalar_power=True, fault_plan=fault_plan
+        )
+        memoised, actual = _run_registry_scenario(name, manager, fault_plan=fault_plan)
+        assert not reference._cluster_power_memo and memoised._cluster_power_memo
+        assert actual.fingerprint() == expected.fingerprint()
+        if fault_plan is not None:
+            (failure,) = actual.faults_of_kind("core_failure")
+            assert failure.value == 4.0
+            assert any(job.violations == ("cores_offline",) for job in actual.jobs)

@@ -29,7 +29,7 @@ SPECS = grid_specs(["steady"], ["rtm", "governor_only"], seeds=[0, 1])
 
 @pytest.fixture(scope="module")
 def executed():
-    """The four grid specs executed once (serial reference results)."""
+    """The four grid specs executed once (serial backend results)."""
     return [run(spec) for spec in SPECS]
 
 
