@@ -273,22 +273,27 @@ class ExperimentSpec:
                 FaultPlan.from_dict(self.faults)
             except (FaultPlanError, ValueError) as error:
                 raise SpecError(f"invalid faults table: {error}") from None
-        for config_cls, overrides, key in (
-            (RTMConfig, self.rtm, "rtm"),
-            (SimulatorConfig, self.simulator, "simulator"),
-        ):
-            defaults = {
-                config_field.name: config_field.default
-                for config_field in dataclasses.fields(config_cls)
-            }
-            unknown = sorted(set(overrides) - set(defaults))
+        sections = {"rtm": (RTMConfig, self.rtm), "simulator": (SimulatorConfig, self.simulator)}
+        defaults = {
+            key: {config_field.name: config_field.default for config_field in dataclasses.fields(cls)}
+            for key, (cls, _) in sections.items()
+        }
+        for key, (config_cls, overrides) in sections.items():
+            unknown = sorted(set(overrides) - set(defaults[key]))
             if unknown:
+                # A knob of the other section (the decision epoch is the
+                # simulator's, not the RTM's) is named where it belongs.
+                elsewhere = [
+                    f"{other}.{name}" for name in unknown for other in defaults
+                    if name in defaults[other]
+                ]
                 raise SpecError(
                     f"unknown {key} override keys {unknown}; "
-                    f"{config_cls.__name__} fields: {sorted(defaults)}"
+                    f"{config_cls.__name__} fields: {sorted(defaults[key])}"
+                    + (f"; did you mean {', '.join(elsewhere)}?" if elsewhere else "")
                 )
             for field_name, value in overrides.items():
-                self._check_override_type(key, field_name, value, defaults[field_name])
+                self._check_override_type(key, field_name, value, defaults[key][field_name])
         return self
 
     @staticmethod

@@ -37,7 +37,7 @@ from repro.fleet.policies import DeviceTelemetry, PlacementPolicy, make_fleet_po
 from repro.fleet.scenarios import FleetAppTemplate, FleetScenario, build_fleet_scenario
 from repro.fleet.spec import FleetSpec
 from repro.platforms.presets import build_preset
-from repro.sim.batched import SharedSimulationStores, make_batched_simulator
+from repro.sim.batched import SharedSimulationStores, gc_suspended, make_batched_simulator
 from repro.sim.engine import Simulator
 from repro.sim.faults import CoreFailure, CoreRecovery, FaultPlan, FrequencyCap
 from repro.sim.trace import SimulationTrace
@@ -425,7 +425,15 @@ class FleetOrchestrator:
     # ------------------------------------------------------------------- run
 
     def run(self) -> FleetResult:
-        """Execute the fleet run and return the aggregated result."""
+        """Execute the fleet run and return the aggregated result.
+
+        Garbage collection is suspended for the run, as in a batched sweep
+        (see :func:`~repro.sim.batched.gc_suspended`).
+        """
+        with gc_suspended():
+            return self._run()
+
+    def _run(self) -> FleetResult:
         spec = self.spec
         # The shared trained model carries its active configuration as
         # mutable state; a previous run that ended compressed would leak

@@ -53,8 +53,6 @@ class RTMConfig:
     ----------
     enable_dnn_scaling / enable_dvfs / enable_task_mapping:
         Which knobs the manager is allowed to use (ablation switches).
-    decision_interval_ms:
-        How often the periodic decision epoch fires in the simulator.
     thermal_margin_c:
         Safety margin kept below the throttle threshold when deriving power
         caps from the thermal model.
@@ -62,8 +60,10 @@ class RTMConfig:
         Upper bound on the cores one DNN application may use.
     enable_op_cache:
         Whether the manager memoises operating-point enumerations and Pareto
-        fronts across decision epochs.  Cached and uncached runs produce
-        identical decisions; disabling only costs time.
+        fronts across decision epochs, and replays the previous epoch's
+        decision when an epoch's :meth:`RuntimeManager.decision_signature`
+        repeats it.  Cached and uncached runs produce identical decisions;
+        disabling only costs time (every epoch is derived from scratch).
     temperature_bucket_width_c:
         Width of the leakage-temperature buckets the decision path prices
         candidates at (applied whether or not the cache is enabled).
@@ -72,7 +72,6 @@ class RTMConfig:
     enable_dnn_scaling: bool = True
     enable_dvfs: bool = True
     enable_task_mapping: bool = True
-    decision_interval_ms: float = 500.0
     thermal_margin_c: float = 2.0
     max_cores_per_app: int = 4
     enable_op_cache: bool = True
@@ -80,11 +79,9 @@ class RTMConfig:
 
     def __post_init__(self) -> None:
         # NaN passes every ordered comparison below as "valid".
-        for name in ("decision_interval_ms", "thermal_margin_c", "temperature_bucket_width_c"):
+        for name in ("thermal_margin_c", "temperature_bucket_width_c"):
             if not isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.decision_interval_ms <= 0:
-            raise ValueError("decision_interval_ms must be positive")
         if self.max_cores_per_app <= 0:
             raise ValueError("max_cores_per_app must be positive")
         if self.temperature_bucket_width_c <= 0:
@@ -93,15 +90,11 @@ class RTMConfig:
 
 @dataclass
 class RTMDecision:
-    """Result of one decision epoch."""
+    """Result of one decision epoch (``allocation`` is ``None`` when replayed)."""
 
     time_ms: float
     actions: List[Action] = field(default_factory=list)
     allocation: Optional[AllocationResult] = None
-
-    @property
-    def num_actions(self) -> int:
-        return len(self.actions)
 
 
 class RuntimeManager:
@@ -151,7 +144,14 @@ class RuntimeManager:
             temperature_bucket_width_c=self.config.temperature_bucket_width_c,
             thermal_margin_c=self.config.thermal_margin_c,
         )
-        self.decisions: List[RTMDecision] = []
+        #: Knob writes issued so far, over every decided or replayed epoch.
+        self.total_actions = 0
+        # One-entry decision replay: the last derived epoch's
+        # (decision_signature, actions); see decide().
+        self._last_decision: Optional[Tuple[tuple, Tuple[Action, ...]]] = None
+        # (state, signature) of the last decision_signature call, consumed by
+        # the next decide/replay so an epoch is keyed once.
+        self._signature_memo: Optional[Tuple[SystemState, tuple]] = None
         # Device monitors (Fig 5): per-cluster online-core gauges, registered
         # lazily on the first decision epoch (clusters are only known from
         # the system state).  Fault-injected core failures surface here — the
@@ -181,9 +181,9 @@ class RuntimeManager:
         The cluster reference is refreshed every call so a manager re-used
         against a rebuilt platform reads the live objects, not stale ones.
         """
+        refs = self._cluster_refs
         for cluster in state.soc.clusters:
-            self._cluster_refs[cluster.name] = cluster
-            if not any(m.owner == cluster.name for m in self.monitors.for_owner(cluster.name)):
+            if cluster.name not in refs:
                 self.monitors.register(
                     Monitor(
                         name="online_cores",
@@ -195,6 +195,7 @@ class RuntimeManager:
                         description="cores currently online (drops under core-failure faults)",
                     )
                 )
+            refs[cluster.name] = cluster
 
     def _invalidate_on_structural_change(self, state: SystemState) -> None:
         """Flush the cache when the platform or application set changed shape.
@@ -238,7 +239,28 @@ class RuntimeManager:
 
         The returned decision's actions must be applied by the caller (the
         simulator, or a real middleware layer on silicon).
+
+        With the operating-point cache on, the manager remembers the last
+        derived epoch's :meth:`decision_signature` and actions: an epoch
+        whose signature equals it is answered by :meth:`replay_decision`
+        without running the allocator (such a decision carries no
+        ``allocation``).  The signature holds every input the allocator
+        reads, home-cluster affinities included, so the replay issues the
+        actions a full derivation would.  Subclasses, uncached managers
+        (``enable_op_cache=False``) and epochs without a DNN application
+        always derive.
         """
+        signature = None
+        if self.cache is not None and type(self) is RuntimeManager and any(
+            status.is_dnn for status in state.apps.values()
+        ):
+            signature = self.decision_signature(state)
+            last = self._last_decision
+            if signature is not None and last is not None and last[0] == signature:
+                # An equal signature includes equal home affinities, so the
+                # remembered epoch added none: nothing to re-apply there.
+                return self.replay_decision(state, last[1], ())
+        self._signature_memo = None
         self._invalidate_on_structural_change(state)
         allocation = self.allocator.allocate(state)
         if self.cache is not None and any(
@@ -250,13 +272,10 @@ class RuntimeManager:
             actions=list(allocation.actions),
             allocation=allocation,
         )
-        self.decisions.append(decision)
+        self.total_actions += len(decision.actions)
+        if signature is not None:
+            self._last_decision = (signature, tuple(decision.actions))
         return decision
-
-    @property
-    def total_actions(self) -> int:
-        """Total knob writes issued so far."""
-        return sum(decision.num_actions for decision in self.decisions)
 
     # ------------------------------------------------- table-batched path
     #
@@ -312,7 +331,14 @@ class RuntimeManager:
         affinities.  ``state.time_ms`` is deliberately excluded: it is copied
         into the decision but never influences the chosen actions.  Unknown
         application types return ``None`` (epoch not keyable).
+
+        The result for one ``state`` object is kept until the next
+        :meth:`decide` or :meth:`replay_decision`, so a caller that keys an
+        epoch and then decides it computes the signature once.
         """
+        memo = self._signature_memo
+        if memo is not None and memo[0] is state:
+            return memo[1]
         soc = state.soc
         apps = []
         for app_id, status in state.apps.items():
@@ -377,7 +403,7 @@ class RuntimeManager:
                 soc.idle_power_mw(),
             )
         home = tuple(sorted(self.allocator._home_cluster.items()))
-        return (
+        signature = (
             soc.topology_key(),
             clusters,
             tuple(apps),
@@ -386,6 +412,8 @@ class RuntimeManager:
             caps,
             home,
         )
+        self._signature_memo = (state, signature)
+        return signature
 
     def decide_recorded(
         self, state: SystemState
@@ -417,14 +445,15 @@ class RuntimeManager:
         Valid only for a state whose :meth:`decision_signature` equals the
         recorded epoch's.  Mirrors every side effect of :meth:`decide`: the
         cache staleness bookkeeping, the allocator's home-cluster affinities
-        and the decision log.  Actions are frozen dataclasses, shared safely
+        and the action count.  Actions are frozen dataclasses, shared safely
         across replicas.
         """
+        self._signature_memo = None
         self._invalidate_on_structural_change(state)
         for app_id, cluster_name in home_updates:
             self.allocator._home_cluster.setdefault(app_id, cluster_name)
         decision = RTMDecision(time_ms=state.time_ms, actions=list(actions))
-        self.decisions.append(decision)
+        self.total_actions += len(decision.actions)
         return decision
 
     # --------------------------------------------------- single-app queries

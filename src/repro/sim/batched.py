@@ -41,8 +41,9 @@ from __future__ import annotations
 
 import gc
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.rtm.cache import OperatingPointCache
 from repro.rtm.manager import RuntimeManager
@@ -57,6 +58,7 @@ __all__ = [
     "BatchedEngine",
     "SharedSimulationStores",
     "SharedOperatingPointCache",
+    "gc_suspended",
     "make_batched_simulator",
     "scenario_content_key",
 ]
@@ -171,6 +173,26 @@ def scenario_content_key(scenario: Scenario) -> Optional[tuple]:
     )
 
 
+@contextmanager
+def gc_suspended() -> Iterator[None]:
+    """Suspend the cyclic garbage collector for a many-simulator run.
+
+    Hundreds of simultaneously-live simulators make cyclic-GC scans the
+    single largest cost of a large batch or fleet, and a collection that
+    lands inside a timed decision dwarfs it.  The simulators' object graph
+    is reference-counted (traces and stores only grow, event closures die
+    with their events), so nothing needs the collector mid-run.  The
+    previous collector state is restored on exit.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def make_batched_simulator(
     scenario: Scenario,
     manager: ManagerProtocol,
@@ -246,19 +268,11 @@ class BatchedEngine:
         traces progressively rather than when the whole batch drains.  A
         deduplicated group fires once per member label.
 
-        Garbage collection is suspended for the duration of the batch:
-        hundreds of simultaneously-live replicas make cyclic-GC scans the
-        single largest cost of a large batch, and the engine's object graph
-        is reference-counted (traces and stores only grow, event closures
-        die with their events), so nothing needs the collector mid-run.
+        Garbage collection is suspended for the duration of the batch (see
+        :func:`gc_suspended`).
         """
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
+        with gc_suspended():
             return self._run(cases, on_complete)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
 
     def _run(
         self, cases: List[BatchedCase], on_complete=None

@@ -157,7 +157,10 @@ class Simulator:
     unmemoised models bit for bit (the golden fingerprints are the
     reference).  The online-core memo needs one condition: cores go on- or
     offline only through :meth:`_apply_actions` (fault events route through
-    it too), which drops the memo on every ``SetCoresOnline``.
+    it too), which drops the memo on every ``SetCoresOnline``.  A thermal
+    sample whose successor would be the queue's next event anyway runs that
+    successor inline (:meth:`EventQueue.claim_next`), so a quiet stretch
+    costs one heap event rather than one per sample.
 
     Parameters
     ----------
@@ -1029,23 +1032,42 @@ class Simulator:
         )
 
     def _thermal_sample(self, time_ms: float) -> None:
-        interval_ms = time_ms - self._last_sample_ms
-        power_mw, utilisations = self._interval_power_and_utilisation(time_ms)
-        self._last_utilisations = utilisations
-        self.soc.thermal.step(power_mw, max(interval_ms, 0.0), time_ms=time_ms)
-        throttling = self.soc.thermal.throttling
-        self.trace.record_power(
-            PowerSample(
-                time_ms=time_ms,
-                power_mw=power_mw,
-                temperature_c=self.soc.thermal.temperature_c,
-                throttling=throttling,
+        """Take a power/temperature sample, then run or schedule the next one.
+
+        While the next sample would be the queue's next event anyway
+        (:meth:`EventQueue.claim_next`), it runs here in the same loop, with
+        no closure and no heap push; nothing else can happen in between, so
+        the samples are those the queue would have run.  A throttle flip
+        ends the loop: its decision may schedule work.
+        """
+        queue = self.queue
+        thermal = self.soc.thermal
+        interval = self.config.thermal_sample_interval_ms
+        while True:
+            interval_ms = time_ms - self._last_sample_ms
+            power_mw, utilisations = self._interval_power_and_utilisation(time_ms)
+            self._last_utilisations = utilisations
+            thermal.step(power_mw, max(interval_ms, 0.0))
+            throttling = thermal.throttling
+            self.trace.record_power(
+                PowerSample(
+                    time_ms=time_ms,
+                    power_mw=power_mw,
+                    temperature_c=thermal.temperature_c,
+                    throttling=throttling,
+                )
             )
-        )
-        if throttling != self._was_throttling:
-            self._was_throttling = throttling
-            self._run_decision(trigger="thermal")
-        self._schedule_thermal_sample(time_ms + self.config.thermal_sample_interval_ms)
+            next_ms = time_ms + interval
+            if throttling != self._was_throttling:
+                self._was_throttling = throttling
+                self._run_decision(trigger="thermal")
+            elif next_ms <= self.scenario.duration_ms and queue.claim_next(
+                next_ms, EVENT_PRIORITY_STRUCTURAL
+            ):
+                time_ms = next_ms
+                continue
+            self._schedule_thermal_sample(next_ms)
+            return
 
 
 def simulate_scenario(

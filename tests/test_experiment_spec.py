@@ -116,7 +116,7 @@ FULL_SPEC = ExperimentSpec(
     seed=7,
     policy="min_latency",
     policy_overrides={"dnn2": "min_energy"},
-    rtm={"enable_dvfs": False, "decision_interval_ms": 250.0},
+    rtm={"enable_dvfs": False, "thermal_margin_c": 3.0},
     simulator={"decision_interval_ms": 250.0, "max_backlog": 3},
     use_op_cache=False,
 )
@@ -307,6 +307,15 @@ class TestSpecValidation:
     def test_valid_spec_passes_and_chains(self):
         assert FULL_SPEC.validate() is FULL_SPEC
 
+    def test_decision_interval_is_a_simulator_key(self):
+        # The RTM never read an rtm-level decision interval; the epoch period
+        # is the simulator's, and the error says so.
+        spec = ExperimentSpec(scenario="steady", rtm={"decision_interval_ms": 250.0})
+        with pytest.raises(SpecError, match=r"did you mean simulator\.decision_interval_ms"):
+            spec.validate()
+        with pytest.raises(SpecError, match="decision_interval_ms"):
+            run(spec)
+
 
 class TestSpecId:
     def test_equal_specs_share_an_id(self):
@@ -381,12 +390,12 @@ class TestSpecExecution:
                 scenario="fig2",
                 policy="min_latency",
                 policy_overrides={"dnn2": "min_energy"},
-                rtm={"enable_dnn_scaling": False, "decision_interval_ms": 125.0},
+                rtm={"enable_dnn_scaling": False, "max_cores_per_app": 2},
             )
         )
         assert isinstance(manager.policy, MinLatencyUnderPowerCap)
         assert manager.config.enable_dnn_scaling is False
-        assert manager.config.decision_interval_ms == 125.0
+        assert manager.config.max_cores_per_app == 2
         assert isinstance(
             manager.allocator.policy_overrides["dnn2"], MinEnergyUnderConstraints
         )

@@ -274,11 +274,11 @@ class TestRuntimeManagerDecide:
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
-            RTMConfig(decision_interval_ms=0.0)
+            RTMConfig(temperature_bucket_width_c=0.0)
         with pytest.raises(ValueError):
             RTMConfig(max_cores_per_app=0)
         # NaN passes every ordered comparison, so finiteness is checked first.
-        for name in ("decision_interval_ms", "thermal_margin_c", "temperature_bucket_width_c"):
+        for name in ("thermal_margin_c", "temperature_bucket_width_c"):
             for value in (math.nan, math.inf, -math.inf):
                 with pytest.raises(ValueError, match=f"{name} must be finite"):
                     RTMConfig(**{name: value})

@@ -230,3 +230,78 @@ class TestMultiAppAllocator:
     def test_invalid_max_cores(self, energy_model):
         with pytest.raises(ValueError):
             MultiAppAllocator(MaxAccuracyUnderBudget(), energy_model, max_cores_per_app=0)
+
+
+def _count_allocations(manager):
+    """Record every allocator run of ``manager``."""
+    calls = []
+    allocate = manager.allocator.allocate
+
+    def counted(state):
+        calls.append(state.time_ms)
+        return allocate(state)
+
+    manager.allocator.allocate = counted
+    return calls
+
+
+class _SubclassedManager(RuntimeManager):
+    """Behaves like its base but is not keyable by value."""
+
+
+class TestDecisionReplay:
+    """The one-entry decision replay inside RuntimeManager.decide."""
+
+    @staticmethod
+    def _warm(manager, xu3, trained_dnn):
+        dnn = make_dnn_application("dnn1", trained_dnn, Requirements(target_fps=5.0))
+        state = make_state(xu3, [AppRuntimeState(application=dnn)])
+        # The first epoch records the home cluster, which is a decision input.
+        manager.decide(state)
+        return dnn, state, manager.decide(state)
+
+    def test_repeated_signature_replays_without_the_allocator(self, xu3, trained_dnn):
+        manager = RuntimeManager()
+        _, state, derived = self._warm(manager, xu3, trained_dnn)
+        assert derived.actions and derived.allocation is not None
+        calls = _count_allocations(manager)
+        replayed = manager.decide(state)
+        assert calls == []
+        assert replayed.allocation is None
+        assert replayed.actions == derived.actions
+        assert manager.total_actions == 3 * len(derived.actions)
+        # Same actions as a manager that derives every epoch.
+        uncached = RuntimeManager(config=RTMConfig(enable_op_cache=False))
+        for _ in range(3):
+            reference = uncached.decide(state)
+        assert reference.actions == replayed.actions
+
+    @pytest.mark.parametrize("change", ["requirement", "temperature_bucket", "online_cores"])
+    def test_changed_input_is_derived(self, xu3, trained_dnn, change):
+        manager = RuntimeManager()
+        dnn, state, _ = self._warm(manager, xu3, trained_dnn)
+        before = manager.decision_signature(state)
+        if change == "requirement":
+            dnn.requirements = Requirements(target_fps=10.0)
+        elif change == "temperature_bucket":
+            xu3.thermal.temperature_c = xu3.thermal.temperature_c + 20.0
+        else:
+            xu3.cluster("a7").cores[-1].set_online(False)
+        state = make_state(xu3, list(state.apps.values()))
+        assert manager.decision_signature(state) != before
+        calls = _count_allocations(manager)
+        decision = manager.decide(state)
+        assert len(calls) == 1 and decision.allocation is not None
+
+    @pytest.mark.parametrize(
+        "make",
+        [_SubclassedManager, lambda: RuntimeManager(config=RTMConfig(enable_op_cache=False))],
+        ids=["subclass", "uncached"],
+    )
+    def test_replay_is_off_for_subclasses_and_uncached_managers(self, xu3, trained_dnn, make):
+        manager = make()
+        _, state, _ = self._warm(manager, xu3, trained_dnn)
+        calls = _count_allocations(manager)
+        for _ in range(3):
+            assert manager.decide(state).allocation is not None
+        assert len(calls) == 3

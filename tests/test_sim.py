@@ -6,7 +6,7 @@ import pytest
 
 from repro.rtm.manager import RuntimeManager
 from repro.sim.engine import Simulator, SimulatorConfig, simulate_scenario
-from repro.sim.events import EVENT_PRIORITY_STRUCTURAL, EventQueue
+from repro.sim.events import EVENT_PRIORITY_DEFAULT, EVENT_PRIORITY_STRUCTURAL, EventQueue
 from repro.sim.trace import JobRecord, PowerSample, SimulationTrace
 from repro.workloads.requirements import Requirements
 from repro.workloads.scenarios import Scenario, single_dnn_scenario, thermal_stress_scenario
@@ -154,6 +154,51 @@ class TestEventQueueSemantics:
         assert counts == [3, 1, 2]
         assert sum(counts) == total == 6
         assert split_order == whole_order
+
+    def test_claim_next_is_false_outside_a_run(self):
+        queue = EventQueue()
+        assert not queue.claim_next(10.0, EVENT_PRIORITY_STRUCTURAL)
+        queue.run_until(50.0)
+        assert not queue.claim_next(60.0, EVENT_PRIORITY_STRUCTURAL)
+        assert queue.now_ms == 50.0
+
+    def test_claim_next_follows_the_pop_order(self):
+        queue = EventQueue()
+        answers = []
+
+        def probe():
+            # Head: (20.0, structural).  Only a strictly earlier (time,
+            # priority) pair wins; an equal pair loses on its sequence number.
+            answers.append(queue.claim_next(20.0, EVENT_PRIORITY_STRUCTURAL))
+            answers.append(queue.claim_next(25.0, EVENT_PRIORITY_STRUCTURAL))
+            answers.append(queue.claim_next(15.0, EVENT_PRIORITY_DEFAULT))
+            answers.append(queue.now_ms)
+
+        queue.schedule(10.0, probe)
+        queue.schedule(20.0, lambda: None, priority=EVENT_PRIORITY_STRUCTURAL)
+        queue.run_until(100.0)
+        assert answers == [False, False, True, 15.0]
+
+    def test_claim_next_beats_a_lower_priority_head_at_equal_time(self):
+        queue = EventQueue()
+        answers = []
+        queue.schedule(10.0, lambda: answers.append(queue.claim_next(20.0, EVENT_PRIORITY_STRUCTURAL)))
+        queue.schedule(20.0, lambda: None)
+        queue.run_until(100.0)
+        assert answers == [True]
+
+    def test_claim_next_stops_at_the_run_horizon(self):
+        queue = EventQueue()
+        answers = []
+        queue.schedule(
+            10.0,
+            lambda: answers.extend(
+                [queue.claim_next(60.0, EVENT_PRIORITY_STRUCTURAL),
+                 queue.claim_next(50.0, EVENT_PRIORITY_STRUCTURAL)]
+            ),
+        )
+        queue.run_until(50.0)
+        assert answers == [False, True]
 
 
 class TestSimulatorConfigValidation:

@@ -1,6 +1,8 @@
 """Tests for simulator internals: accounting, penalties, preemption, actions."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.managers import make_manager
 from repro.perfmodel.calibrated import CalibratedLatencyModel
@@ -9,6 +11,7 @@ from repro.platforms.power import ClusterPowerModel
 from repro.rtm.manager import RuntimeManager
 from repro.rtm.state import MapApplication, SetConfiguration, SetFrequency
 from repro.sim.engine import Simulator, SimulatorConfig
+from repro.sim.events import EventQueue
 from repro.sim.faults import CoreFailure, CoreRecovery, FaultPlan
 from repro.workloads.requirements import Requirements
 from repro.workloads.scenarios import Scenario, build_scenario
@@ -288,3 +291,90 @@ class TestMemoisedArithmetic:
             (failure,) = actual.faults_of_kind("core_failure")
             assert failure.value == 4.0
             assert any(job.violations == ("cores_offline",) for job in actual.jobs)
+
+
+class _ScheduledOnlyQueue(EventQueue):
+    """An event queue that never lets a callback run the next event inline."""
+
+    __slots__ = ()
+
+    def claim_next(self, time_ms, priority):
+        return False
+
+
+def _quiet_scenario():
+    """No applications: every thermal sample is the next event but epochs."""
+    return Scenario(
+        name="quiet", platform_name="odroid_xu3", applications=[], duration_ms=3000.0
+    )
+
+
+def _inline_simulator(name, queue_cls=EventQueue):
+    """A simulator for one inline-sampling case on the given queue class.
+
+    ``quiet`` drops the A15 frequency at the first epoch (500 ms), which
+    coincides with a sample: the sample must price the interval after the
+    epoch's action.
+    """
+    if name == "quiet":
+        simulator = Simulator(
+            _quiet_scenario(),
+            _ScriptedManager([SetFrequency(cluster_name="a15", frequency_mhz=200.0)]),
+        )
+    else:
+        simulator = Simulator(build_scenario(name, seed=0), make_manager("rtm"))
+    simulator.queue = queue_cls()
+    return simulator
+
+
+_REFERENCE_FINGERPRINTS = {}
+
+
+def _reference_fingerprint(name):
+    if name not in _REFERENCE_FINGERPRINTS:
+        reference = _inline_simulator(name, _ScheduledOnlyQueue)
+        _REFERENCE_FINGERPRINTS[name] = reference.run().fingerprint()
+    return _REFERENCE_FINGERPRINTS[name]
+
+
+class TestInlineThermalSamples:
+    """Samples run inline between events are the samples the heap would run."""
+
+    @pytest.mark.parametrize("name", ["quiet", "chaos_double_fault", "thermal_stress"])
+    def test_inline_samples_match_scheduled_samples(self, name):
+        simulator = _inline_simulator(name)
+        reference = _inline_simulator(name, _ScheduledOnlyQueue)
+        popped = []
+        for sim in (simulator, reference):
+            sim.prime()
+            popped.append(sim.queue.run_until(sim.scenario.duration_ms))
+        assert simulator.trace.fingerprint() == reference.trace.fingerprint()
+        if name != "thermal_stress":  # never idle between two samples
+            assert popped[0] < popped[1]
+
+    def test_sample_at_an_epoch_time_runs_after_the_epoch(self):
+        trace = _inline_simulator("quiet").run()
+        power = {sample.time_ms: sample.power_mw for sample in trace.power_samples}
+        # The 500 ms epoch drops the A15 frequency before the 500 ms sample.
+        assert power[500.0] < 0.8 * power[400.0]
+
+    @pytest.mark.parametrize("name", ["quiet", "chaos_double_fault", "thermal_stress"])
+    def test_advance_to_cut_points_match_one_run(self, name):
+        @given(
+            fractions=st.lists(
+                st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=12
+            ).map(sorted)
+        )
+        @settings(max_examples=15, deadline=None)
+        def check(fractions):
+            simulator = _inline_simulator(name)
+            for fraction in fractions:
+                cut = fraction * simulator.scenario.duration_ms
+                simulator.advance_to(cut)
+                assert simulator.queue.now_ms == cut
+                # No sample runs past the end of the stride.
+                assert all(s.time_ms <= cut for s in simulator.trace.power_samples)
+            simulator.advance_to(simulator.scenario.duration_ms)
+            assert simulator.trace.fingerprint() == _reference_fingerprint(name)
+
+        check()
