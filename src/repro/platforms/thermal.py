@@ -19,6 +19,7 @@ signal from chattering.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 __all__ = ["ThermalParams", "ThermalModel"]
 
@@ -149,38 +150,51 @@ class ThermalModel:
         Returns
         -------
         float
-            The temperature at the end of the interval.
+            The *sensed* temperature at the end of the interval — the value
+            :attr:`temperature_c` reports, sensor faults included — so a
+            caller sampling the model need not read it again.
+
+        Raises
+        ------
+        ValueError
+            If either argument is negative, infinite or NaN: an infinite
+            duration would never finish integrating, and a NaN would poison
+            every later temperature and freeze the throttle flag.
         """
-        if duration_ms < 0:
-            raise ValueError("duration must be non-negative")
-        if power_mw < 0:
-            raise ValueError("power must be non-negative")
+        if not 0.0 <= duration_ms < inf:
+            raise ValueError(f"duration must be non-negative and finite, got {duration_ms}")
+        if not 0.0 <= power_mw < inf:
+            raise ValueError(f"power must be non-negative and finite, got {power_mw}")
         params = self.params
+        ambient_c = params.ambient_c
+        resistance = params.thermal_resistance_c_per_w
+        capacitance = params.thermal_capacitance_j_per_c
         power_w = power_mw / 1000.0
         remaining_s = duration_ms / 1000.0
         # Sub-step to keep the explicit Euler integration stable for long
         # intervals: limit each step to a tenth of the RC time constant.
-        tau_s = params.thermal_resistance_c_per_w * params.thermal_capacitance_j_per_c
-        max_step_s = max(tau_s / 10.0, 1e-6)
+        max_step_s = max(resistance * capacitance / 10.0, 1e-6)
         # Integrate the TRUE junction temperature; sensor faults only distort
         # what temperature_c reports, never the physics.
         temperature = self._temperature_c
         while remaining_s > 1e-12:
             step_s = min(remaining_s, max_step_s)
-            flow_out_w = (temperature - params.ambient_c) / params.thermal_resistance_c_per_w
-            d_temp = (power_w - flow_out_w) / params.thermal_capacitance_j_per_c * step_s
-            temperature += d_temp
+            flow_out_w = (temperature - ambient_c) / resistance
+            temperature += (power_w - flow_out_w) / capacitance * step_s
             remaining_s -= step_s
         self._temperature_c = temperature
-        self.peak_temperature_c = max(self.peak_temperature_c, temperature)
-        self._update_throttle()
-        return self.temperature_c
+        if temperature > self.peak_temperature_c:
+            self.peak_temperature_c = temperature
+        return self._update_throttle()
 
-    def _update_throttle(self) -> None:
-        if self.temperature_c >= self.params.throttle_threshold_c:
+    def _update_throttle(self) -> float:
+        """Apply the hysteresis band to the sensed temperature; returns it."""
+        sensed_c = self.temperature_c
+        if sensed_c >= self.params.throttle_threshold_c:
             self.throttling = True
-        elif self.temperature_c <= self.params.throttle_release_c:
+        elif sensed_c <= self.params.throttle_release_c:
             self.throttling = False
+        return sensed_c
 
     @property
     def is_critical(self) -> bool:

@@ -158,7 +158,10 @@ class RuntimeManager:
         # RTM *observes* degraded capacity through its monitors and remaps,
         # rather than trusting the core counts it last requested.
         self.monitors = MonitorRegistry()
-        self._cluster_refs: Dict[str, object] = {}
+        # The (cluster name, online-core monitor) pairs the staleness
+        # snapshot reads, pointed at the platform last seen.
+        self._snapshot_monitors: Tuple[Tuple[str, Monitor], ...] = ()
+        self._monitored_soc: Optional[Soc] = None
         # Structural snapshots used to invalidate the cache between epochs.
         self._last_online: Optional[tuple] = None
         self._last_bucket: Optional[float] = None
@@ -176,26 +179,34 @@ class RuntimeManager:
         return self.cache.stats if self.cache is not None else None
 
     def _ensure_core_monitors(self, state: SystemState) -> None:
-        """Register (once) an online-core device monitor per cluster.
+        """Point an online-core device monitor at each cluster (registered once).
 
-        The cluster reference is refreshed every call so a manager re-used
-        against a rebuilt platform reads the live objects, not stale ones.
+        The readers are re-pointed whenever the state carries a different
+        platform object, so a manager re-used against a rebuilt platform
+        reads the live clusters, not stale ones.
         """
-        refs = self._cluster_refs
-        for cluster in state.soc.clusters:
-            if cluster.name not in refs:
-                self.monitors.register(
-                    Monitor(
-                        name="online_cores",
-                        owner=cluster.name,
-                        reader=lambda name=cluster.name: float(
-                            len(self._cluster_refs[name].online_cores)
-                        ),
-                        unit="cores",
-                        description="cores currently online (drops under core-failure faults)",
-                    )
+        soc = state.soc
+        if soc is self._monitored_soc:
+            return
+        core_monitors = []
+        for cluster in soc.clusters:
+            reader = lambda cluster=cluster: float(len(cluster.online_cores))
+            try:
+                monitor = self.monitors.get(cluster.name, "online_cores")
+            except KeyError:
+                monitor = Monitor(
+                    name="online_cores",
+                    owner=cluster.name,
+                    reader=reader,
+                    unit="cores",
+                    description="cores currently online (drops under core-failure faults)",
                 )
-            refs[cluster.name] = cluster
+                self.monitors.register(monitor)
+            else:
+                monitor.reader = reader
+            core_monitors.append((cluster.name, monitor))
+        self._snapshot_monitors = tuple(core_monitors)
+        self._monitored_soc = soc
 
     def _invalidate_on_structural_change(self, state: SystemState) -> None:
         """Flush the cache when the platform or application set changed shape.
@@ -210,23 +221,24 @@ class RuntimeManager:
         than guard correctness (see :mod:`repro.rtm.cache`).
         """
         self._ensure_core_monitors(state)
-        if self.cache is None:
+        cache = self.cache
+        if cache is None:
             return
-        online = tuple(
-            (cluster.name, int(self.monitors.get(cluster.name, "online_cores").read()))
-            for cluster in state.soc.clusters
-        )
+        online = tuple([(name, monitor.read()) for name, monitor in self._snapshot_monitors])
         bucket = temperature_bucket_c(
             state.soc.thermal.temperature_c, self.config.temperature_bucket_width_c
         )
-        mapped = {s.app_id: s.mapping is not None for s in state.apps.values()}
+        apps = state.apps
+        mapped = (
+            {s.app_id: s.mapping is not None for s in apps.values()} if apps else {}
+        )
         if self._last_online is not None and online != self._last_online:
-            self.cache.invalidate("cores_offline")
+            cache.invalidate("cores_offline")
         if self._last_bucket is not None and bucket != self._last_bucket:
-            self.cache.invalidate("thermal_bucket")
+            cache.invalidate("thermal_bucket")
         for app_id, was_mapped in self._last_mapped.items():
             if was_mapped and not mapped.get(app_id, False):
-                self.cache.invalidate("app_unmapped")
+                cache.invalidate("app_unmapped")
                 break
         self._last_online = online
         self._last_bucket = bucket
@@ -246,20 +258,28 @@ class RuntimeManager:
         without running the allocator (such a decision carries no
         ``allocation``).  The signature holds every input the allocator
         reads, home-cluster affinities included, so the replay issues the
-        actions a full derivation would.  Subclasses, uncached managers
-        (``enable_op_cache=False``) and epochs without a DNN application
-        always derive.
+        actions a full derivation would.  Subclasses and uncached managers
+        (``enable_op_cache=False``) always derive.
+
+        An epoch without a DNN application has nothing to allocate: the
+        manager runs only the cache staleness bookkeeping, which decides when
+        the cache is flushed and so every later hit and miss count, and
+        returns the empty decision a derivation would.  Subclasses derive
+        these epochs too.
         """
         signature = None
-        if self.cache is not None and type(self) is RuntimeManager and any(
-            status.is_dnn for status in state.apps.values()
-        ):
-            signature = self.decision_signature(state)
-            last = self._last_decision
-            if signature is not None and last is not None and last[0] == signature:
-                # An equal signature includes equal home affinities, so the
-                # remembered epoch added none: nothing to re-apply there.
-                return self.replay_decision(state, last[1], ())
+        if type(self) is RuntimeManager:
+            if not any(status.is_dnn for status in state.apps.values()):
+                self._signature_memo = None
+                self._invalidate_on_structural_change(state)
+                return RTMDecision(state.time_ms, [], allocation=AllocationResult())
+            if self.cache is not None:
+                signature = self.decision_signature(state)
+                last = self._last_decision
+                if signature is not None and last is not None and last[0] == signature:
+                    # An equal signature includes equal home affinities, so
+                    # the remembered epoch added none: nothing to re-apply.
+                    return self.replay_decision(state, last[1], ())
         self._signature_memo = None
         self._invalidate_on_structural_change(state)
         allocation = self.allocator.allocate(state)

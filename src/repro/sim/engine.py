@@ -162,6 +162,15 @@ class Simulator:
     successor inline (:meth:`EventQueue.claim_next`), so a quiet stretch
     costs one heap event rather than one per sample.
 
+    An interval in which no core accrued busy time is priced from the
+    zero-busy plan: per cluster, the static power constants and the idle
+    dynamic power of its online cores.  The plan is valid while every
+    cluster has the stock :class:`ClusterPowerModel` (a custom model takes
+    the scalar path), each cluster's frequency equals the one the plan was
+    built at (checked on every sample; a change rebuilds it) and no
+    ``SetCoresOnline`` has run since (the plan is dropped with the
+    online-core memo).
+
     Parameters
     ----------
     scenario:
@@ -231,6 +240,11 @@ class Simulator:
         )
         self._decision_memo_key = memo_key
         self._decision_store = decision_store if memo_key is not None else None
+        # Managers with an operating-point cache expose cumulative hit/miss
+        # counters; recording them per decision makes cache behaviour
+        # observable from the (picklable) trace without touching the manager.
+        stats_fn = getattr(manager, "cache_stats", None)
+        self._cache_stats_fn = stats_fn if callable(stats_fn) else None
         # Job costs keyed by (network, cluster, frequency, cores used, online
         # cores); networks and clusters are long-lived (the trained model's
         # and the soc's own), and every entry pins its network besides.
@@ -239,6 +253,10 @@ class Simulator:
         self._cluster_power_memo: Dict[tuple, tuple] = {}
         # Online-core count per cluster; see the class docstring.
         self._online_counts: Dict[str, int] = {}
+        # Per-cluster (cluster, frequency, static base, leakage coefficient,
+        # reference temperature, idle term) of an interval with no busy
+        # core-time; see the class docstring.
+        self._zero_busy_plan: Optional[List[tuple]] = None
 
     # ------------------------------------------------------------------ run
 
@@ -593,18 +611,17 @@ class Simulator:
                 decision = manager.replay_decision(state, actions, home_updates)
         actions = list(getattr(decision, "actions", []) or [])
         self._apply_actions(actions)
-        # Managers with an operating-point cache expose cumulative hit/miss
-        # counters; recording them per decision makes cache behaviour
-        # observable from the (picklable) trace without touching the manager.
-        stats_fn = getattr(self.manager, "cache_stats", None)
-        stats = stats_fn() if callable(stats_fn) else None
+        stats_fn = self._cache_stats_fn
+        stats = stats_fn() if stats_fn is not None else None
+        # Positional for speed: time_ms, num_actions, trigger, cache_hits,
+        # cache_misses.
         self.trace.record_decision(
             DecisionRecord(
-                time_ms=self.queue.now_ms,
-                num_actions=len(actions),
-                trigger=trigger,
-                cache_hits=stats.hits if stats is not None else 0,
-                cache_misses=stats.misses if stats is not None else 0,
+                self.queue.now_ms,
+                len(actions),
+                trigger,
+                stats.hits if stats is not None else 0,
+                stats.misses if stats is not None else 0,
             )
         )
 
@@ -633,6 +650,7 @@ class Simulator:
                     for index, core in enumerate(cluster.cores):
                         core.set_online(index < online_cores)
                     self._online_counts.clear()
+                    self._zero_busy_plan = None
             elif isinstance(action, SetConfiguration):
                 self._apply_configuration(action)
             elif isinstance(action, MapApplication):
@@ -956,11 +974,16 @@ class Simulator:
         constants: the same expressions in the same order, without ever
         building the utilisation lists.
         """
-        interval_ms = max(now_ms - self._last_sample_ms, 1e-9)
         self._accrue_interval_busy_time(now_ms)
         busy_core_ms = self._busy_core_ms
-        cluster_utilisation: Dict[str, float] = {}
         temperature_c = self.soc.thermal.temperature_c
+        if not busy_core_ms:
+            total = self._zero_busy_power_mw(temperature_c)
+            if total is not None:
+                self._last_sample_ms = now_ms
+                return total, dict.fromkeys(self.soc._clusters, 0.0)
+        interval_ms = max(now_ms - self._last_sample_ms, 1e-9)
+        cluster_utilisation: Dict[str, float] = {}
         memo = self._cluster_power_memo
         total = 0.0
         for name, cluster in self.soc._clusters.items():
@@ -1022,6 +1045,43 @@ class Simulator:
         self._last_sample_ms = now_ms
         return total, cluster_utilisation
 
+    def _zero_busy_power_mw(self, temperature_c: float) -> Optional[float]:
+        """Power of an interval in which no core accrued busy time.
+
+        The general replay with every utilisation at zero: per cluster the
+        leakage-scaled static power plus every online core's idle dynamic
+        power, from the zero-busy plan (see the class docstring).  A cluster
+        whose frequency moved since the plan was built rebuilds it.  ``None``
+        when a cluster has a custom power model (the caller's scalar path).
+        """
+        plan = self._zero_busy_plan
+        if plan is not None:
+            total = 0.0
+            for cluster, frequency, static_base, leak_coefficient, reference_c, idle_term in plan:
+                if cluster.frequency_mhz != frequency:
+                    break
+                cluster_total = static_base * exp(
+                    leak_coefficient * (temperature_c - reference_c)
+                )
+                if idle_term is not None:
+                    cluster_total += idle_term
+                total += cluster_total
+            else:
+                return total
+        clusters = self.soc._clusters.values()
+        if any(type(cluster.power_model) is not ClusterPowerModel for cluster in clusters):
+            return None
+        plan = self._zero_busy_plan = []
+        for cluster in clusters:
+            static_base, _, dyn_idle, leak_coefficient, reference_c, _, _ = (
+                self._cluster_power_entry(cluster)
+            )
+            count = self._online_core_count(cluster)
+            idle_term = count * dyn_idle if count > 0 else None
+            frequency = cluster.frequency_mhz
+            plan.append((cluster, frequency, static_base, leak_coefficient, reference_c, idle_term))
+        return self._zero_busy_power_mw(temperature_c)
+
     def _schedule_thermal_sample(self, time_ms: float) -> None:
         if time_ms > self.scenario.duration_ms:
             return
@@ -1047,16 +1107,10 @@ class Simulator:
             interval_ms = time_ms - self._last_sample_ms
             power_mw, utilisations = self._interval_power_and_utilisation(time_ms)
             self._last_utilisations = utilisations
-            thermal.step(power_mw, max(interval_ms, 0.0))
+            temperature_c = thermal.step(power_mw, max(interval_ms, 0.0))
             throttling = thermal.throttling
-            self.trace.record_power(
-                PowerSample(
-                    time_ms=time_ms,
-                    power_mw=power_mw,
-                    temperature_c=thermal.temperature_c,
-                    throttling=throttling,
-                )
-            )
+            # Positional for speed: time_ms, power_mw, temperature_c, throttling.
+            self.trace.record_power(PowerSample(time_ms, power_mw, temperature_c, throttling))
             next_ms = time_ms + interval
             if throttling != self._was_throttling:
                 self._was_throttling = throttling

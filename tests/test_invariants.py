@@ -21,6 +21,8 @@ hypothesis block samples seeded scenario constructions without simulating.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -142,6 +144,24 @@ class TestRegistryGridInvariants:
                 assert all(t <= trace.duration_ms for t in timeline), label
             else:
                 assert not trace.faults, f"{label} recorded unexpected faults"
+
+    def test_trace_records_hold_only_builtin_values(self, registry_grid_cached):
+        """Every record field is a builtin scalar or a tuple of str.
+
+        ``fingerprint()`` hashes ``repr``, and numpy 2 prints a numpy scalar
+        as ``np.float64(x)`` where numpy 1 printed ``x``: a leaked numpy
+        value would make the goldens depend on the installed numpy.
+        """
+        scalars = (int, float, str, bool)
+        for label, trace in registry_grid_cached.traces.items():
+            for record in (*trace.jobs, *trace.power_samples, *trace.decisions, *trace.faults):
+                for field in dataclasses.fields(record):
+                    value = getattr(record, field.name)
+                    if type(value) is tuple:
+                        ok = all(type(item) is str for item in value)
+                    else:
+                        ok = type(value) in scalars
+                    assert ok, (label, type(record).__name__, field.name, type(value))
 
     def test_crashed_jobs_are_conserved_drops(self, registry_grid_cached):
         """Jobs lost to transient crashes stay inside job conservation."""

@@ -145,6 +145,45 @@ class TestThermalModel:
         with pytest.raises(ValueError):
             model.step(100.0, -1.0)
 
+    @pytest.mark.parametrize("duration_ms", [float("inf"), float("nan")])
+    def test_non_finite_duration_rejected(self, duration_ms):
+        # An infinite duration used to keep the sub-step loop running forever.
+        model = ThermalModel(ThermalParams())
+        with pytest.raises(ValueError, match="finite"):
+            model.step(1000.0, duration_ms)
+        assert model.temperature_c == model.params.ambient_c
+
+    @pytest.mark.parametrize("power_mw", [float("inf"), float("nan")])
+    def test_non_finite_power_rejected_and_state_kept(self, power_mw):
+        params = ThermalParams(
+            thermal_resistance_c_per_w=10.0,
+            thermal_capacitance_j_per_c=1.0,
+            throttle_threshold_c=60.0,
+            throttle_release_c=50.0,
+        )
+        model = ThermalModel(params)
+        with pytest.raises(ValueError, match="finite"):
+            model.step(power_mw, 100.0)
+        # A NaN power used to turn every later temperature into NaN, which
+        # no throttle comparison is ever true for.
+        assert model.temperature_c == params.ambient_c
+        model.step(5000.0, 100000.0)
+        assert model.throttling
+        model.step(0.0, 200000.0)
+        assert not model.throttling
+
+    def test_step_returns_the_sensed_temperature(self):
+        model = ThermalModel(ThermalParams())
+        assert model.step(3000.0, 1000.0) == model.temperature_c
+        model.set_sensor_bias(4.5)
+        sensed = model.step(3000.0, 1000.0)
+        assert sensed == model.temperature_c == model.true_temperature_c + 4.5
+        model.set_sensor_bias(0.0)
+        frozen = model.freeze_sensor()
+        sensed = model.step(6000.0, 5000.0)
+        assert sensed == model.temperature_c == frozen
+        assert model.true_temperature_c > frozen
+
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
             ThermalParams(thermal_resistance_c_per_w=0.0)

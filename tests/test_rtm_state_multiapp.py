@@ -15,7 +15,9 @@ from repro.rtm.state import (
     SystemState,
     UnmapApplication,
 )
+from repro.sim.engine import Simulator
 from repro.workloads.requirements import Requirements
+from repro.workloads.scenarios import build_scenario
 from repro.workloads.tasks import make_arvr_application, make_background_application, make_dnn_application
 
 
@@ -305,3 +307,65 @@ class TestDecisionReplay:
         for _ in range(3):
             assert manager.decide(state).allocation is not None
         assert len(calls) == 3
+
+
+def _forget_replays(manager):
+    """Make ``manager`` derive every DNN epoch, as a subclass does.
+
+    The one-entry decision replay answers an epoch without cache lookups, so
+    a subclass (which never replays) records more cache hits.  Forgetting
+    the remembered epoch before every decision leaves the early return for
+    epochs without a DNN application as the only difference between the
+    base class and a subclass.
+    """
+    decide = manager.decide
+
+    def derive(state):
+        manager._last_decision = None
+        return decide(state)
+
+    manager.decide = derive
+
+
+class TestEpochsWithoutDNNApplications:
+    """The early return of RuntimeManager.decide for epochs with no DNN app."""
+
+    def test_returns_the_empty_decision_of_the_full_path(self, xu3):
+        background = make_background_application("bg", cores=1)
+        state = make_state(xu3, [AppRuntimeState(application=background)])
+        manager = RuntimeManager()
+        calls = _count_allocations(manager)
+        decision = manager.decide(state)
+        reference = _SubclassedManager().decide(state)
+        assert calls == []
+        assert decision.actions == reference.actions == []
+        assert decision.allocation.decisions == reference.allocation.decisions == {}
+        assert decision.allocation.actions == reference.allocation.actions == []
+
+    @pytest.mark.parametrize("case", ["diurnal", "trace", "chaos_double_fault"])
+    def test_idle_heavy_runs_match_a_subclass_that_always_derives(self, case):
+        # diurnal (seed 0) has no DNN application from 8.5 s to 20.5 s; the
+        # trace replays it, and the chaos_double_fault plan lands its core
+        # failure, DVFS cap and sensor bias inside that gap.
+        plan = build_scenario(case, seed=0).fault_plan if case == "chaos_double_fault" else None
+        traces, managers, allocations = [], [], []
+        for manager in (RuntimeManager(), _SubclassedManager()):
+            # A fresh scenario per run: runs mutate their applications.
+            if case == "trace":
+                scenario = build_scenario("trace", seed=0, source="diurnal")
+            else:
+                scenario = build_scenario("diurnal", seed=0)
+            _forget_replays(manager)
+            allocations.append(_count_allocations(manager))
+            traces.append(Simulator(scenario, manager, fault_plan=plan).run())
+            managers.append(manager)
+        early, full = traces
+        # The base class skipped the allocator on some epochs.
+        assert len(allocations[0]) < len(allocations[1])
+        assert early.fingerprint() == full.fingerprint()
+        # Cache counters are outside the fingerprint: the staleness
+        # bookkeeping decides when the cache is flushed, hence every count.
+        assert early.decisions == full.decisions
+        assert managers[0].total_actions == managers[1].total_actions
+        early_stats, full_stats = (manager.cache_stats() for manager in managers)
+        assert early_stats.invalidations == full_stats.invalidations

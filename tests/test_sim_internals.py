@@ -254,6 +254,16 @@ _A15_BLACKOUT = FaultPlan(
 )
 
 
+#: Two A15 cores fail and recover inside diurnal's gap without a DNN
+#: application (seed 0: 8.5 s to 20.5 s).
+_IDLE_GAP_CORE_FAILURE = FaultPlan(
+    events=(
+        CoreFailure(time_ms=10_000.0, cluster="a15", cores=2),
+        CoreRecovery(time_ms=15_000.0, cluster="a15", cores=2),
+    )
+)
+
+
 class TestMemoisedArithmetic:
     """The simulator's per-run memos against the models they replay."""
 
@@ -276,18 +286,37 @@ class TestMemoisedArithmetic:
             ("chaos_double_fault", "rtm", None),
             ("thermal_stress", "rtm", None),
             ("multi_dnn", "static_deployment", _A15_BLACKOUT),
+            # Changes while nothing runs: the governor moves frequencies in
+            # idle gaps, a sensor fault shifts the leakage temperature, and
+            # cores fail and recover in an idle gap.
+            ("diurnal", "governor_only", None),
+            ("chaos_thermal_sensor_dropout", "rtm", None),
+            ("diurnal", "rtm", _IDLE_GAP_CORE_FAILURE),
         ],
-        ids=["chaos_double_fault", "thermal_stress", "a15_blackout"],
+        ids=[
+            "chaos_double_fault",
+            "thermal_stress",
+            "a15_blackout",
+            "idle_governor_dvfs",
+            "sensor_dropout",
+            "idle_core_failure",
+        ],
     )
     def test_power_memo_matches_cluster_power_model(self, name, manager, fault_plan):
-        # A power model subclass takes the scalar cluster.power_mw fallback.
+        # A power model subclass takes the scalar cluster.power_mw fallback,
+        # for busy and zero-busy intervals alike.
         reference, expected = _run_registry_scenario(
             name, manager, scalar_power=True, fault_plan=fault_plan
         )
         memoised, actual = _run_registry_scenario(name, manager, fault_plan=fault_plan)
         assert not reference._cluster_power_memo and memoised._cluster_power_memo
+        assert reference._zero_busy_plan is None
         assert actual.fingerprint() == expected.fingerprint()
-        if fault_plan is not None:
+        # Bit for bit, not only to the fingerprint's six decimals.
+        assert actual.power_samples == expected.power_samples
+        if name == "diurnal":
+            assert memoised._zero_busy_plan is not None
+        if fault_plan is _A15_BLACKOUT:
             (failure,) = actual.faults_of_kind("core_failure")
             assert failure.value == 4.0
             assert any(job.violations == ("cores_offline",) for job in actual.jobs)
